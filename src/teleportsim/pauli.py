@@ -4,9 +4,13 @@ A correction is a product of single-qubit factors from {I, X, Z, ZX},
 each attached to one qubit, together with a unit scalar phase. ZX means
 "apply X, then Z". Factors on distinct qubits commute, so a PauliString
 stores at most one factor per qubit.
+
+Every factor product is a signed permutation of the computational basis,
+as in a stabilizer tableau, so a string is applied by one index gather.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
@@ -18,9 +22,8 @@ from .qstate import (
     X_GATE,
     Z_GATE,
     ZX_GATE,
-    SingleQubitGate,
     StateVector,
-    apply_gate,
+    _state,
     make_state,
 )
 
@@ -30,10 +33,6 @@ class PauliFactor(Enum):
     X = "X"
     Z = "Z"
     ZX = "ZX"
-
-    @property
-    def gate(self) -> SingleQubitGate:
-        return _GATES[self]
 
     @property
     def matrix(self) -> np.ndarray:
@@ -53,6 +52,28 @@ _GATES = {
 }
 _OP_COUNTS = {PauliFactor.I: 0, PauliFactor.X: 1, PauliFactor.Z: 1, PauliFactor.ZX: 2}
 _PHASE_TOKENS = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j, "1": 1, "i": 1j}
+
+
+# 1024 entries hold every factor string on a five-qubit register.
+@functools.lru_cache(maxsize=1024)
+def signed_permutation(factors: tuple[PauliFactor, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Index form of the product of `factors`, the first on the most
+    significant qubit: (P a)[i] == sign[i] * a[perm[i]].
+
+    Read off each factor's matrix (one +-1 entry per row), so the Z sign
+    convention has its single home in qstate. Both arrays are read-only
+    and shared between callers.
+    """
+    perm = np.zeros(1, dtype=np.intp)
+    sign = np.ones(1)
+    for f in factors:
+        cols = np.argmax(np.abs(f.matrix), axis=1)
+        vals = f.matrix[(0, 1), cols].real
+        perm = (2 * perm[:, None] + cols).reshape(-1)
+        sign = (sign[:, None] * vals).reshape(-1)
+    perm.setflags(write=False)
+    sign.setflags(write=False)
+    return perm, sign
 
 
 def canonical_factor(matrix: np.ndarray) -> tuple[PauliFactor, complex]:
@@ -107,9 +128,13 @@ class PauliString:
         return PauliFactor.I
 
     def apply(self, state: StateVector) -> StateVector:
-        out = state
-        for q, f in self.factors:
-            out = apply_gate(out, f.gate, q)
+        # Resolve every factor's qubit first: one outside the register must
+        # raise, not vanish from the gather.
+        by_axis = {state.axis(q): f for q, f in self.factors}
+        perm, sign = signed_permutation(
+            tuple(by_axis.get(i, PauliFactor.I) for i in range(state.n_qubits))
+        )
+        out = _state(state.qubits, state.amps[perm] * sign)
         if self.phase != 1:
             out = make_state(out.qubits, out.amps * self.phase)
         return out

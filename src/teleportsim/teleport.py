@@ -25,7 +25,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .bell import BellOutcome, BellState, bell_pair, draw_branch, measure_bell_branches
-from .pauli import PauliFactor, PauliString, parse_pauli_tokens
+from .pauli import PauliFactor, PauliString, parse_pauli_tokens, signed_permutation
 from . import reference
 from .qstate import (
     StateVector,
@@ -359,6 +359,19 @@ def _fiducial_states(xs: tuple[str, ...]) -> list[StateVector]:
     return states
 
 
+@functools.lru_cache(maxsize=MAX_TABLE_WIDTH)
+def _candidate_gathers(
+    n: int,
+) -> tuple[tuple[tuple[PauliFactor, ...], ...], np.ndarray, np.ndarray]:
+    """Every width-n factor string in product order, with the signed
+    permutations of all of them stacked as perms and signs, (4^n, 2^n)."""
+    candidates = tuple(itertools.product(PauliFactor, repeat=n))
+    forms = [signed_permutation(c) for c in candidates]
+    perms = np.stack([perm for perm, _ in forms])
+    signs = np.stack([sign for _, sign in forms])
+    return candidates, perms, signs
+
+
 def _solve_correction(
     targets: tuple[str, ...],
     inputs: np.ndarray,
@@ -368,20 +381,14 @@ def _solve_correction(
     """Find the unique factor string mapping every remainder to its input.
 
     `inputs` and `remainders` are stacked amplitude rows, one per fiducial
-    state, both in (b1..bn) bit order. Exactly one of the 4^n candidates
-    must achieve fidelity 1 on every row.
+    state, both in (b1..bn) bit order. Every one of the 4^n candidates is
+    applied to every remainder by one gather through the width's cached
+    signed permutations, and scored by its overlap with the input. Exactly
+    one candidate must achieve fidelity 1 on every row.
     """
-    n = len(targets)
-    candidates = list(itertools.product(PauliFactor, repeat=n))
-    mats = []
-    for combo in candidates:
-        m = np.array([[1.0 + 0j]])
-        for f in combo:
-            m = np.kron(m, f.matrix)
-        mats.append(m)
-    stacked = np.stack(mats)                                  # (4^n, dim, dim)
-    applied = np.einsum("cij,fj->cfi", stacked, remainders)   # (4^n, F, dim)
-    overlap = np.einsum("fi,cfi->cf", inputs.conj(), applied)
+    candidates, perms, signs = _candidate_gathers(len(targets))
+    applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
+    overlap = np.einsum("fi,fci->cf", inputs.conj(), applied)
     fid = np.abs(overlap) ** 2
     hits = np.flatnonzero(np.all(fid >= 1 - tol, axis=1))
     if len(hits) == 0:

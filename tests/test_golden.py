@@ -1,0 +1,74 @@
+"""Golden reports: the sha256 of run_campaign's JSON for fixed configs.
+
+Every CLI mode is pinned at fixed seeds and fixture inputs, so a change
+to the engine, the oracle or the correction algebra that alters a
+single byte of any report fails here. Regenerate a digest only for a
+change that is meant to alter that report.
+"""
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from teleportsim.cli import CampaignConfig, run_campaign
+
+# (mode, n, input, trials, seed) -> sha256 of the report JSON.
+GOLDEN = {
+    ("sample", 1, "random", 64, 11):
+        "556d5517da4c1e9da3ef68813cf5885888819bbf9abc9b77bb92b31456be7da8",
+    ("sample", 1, "zero", 64, 12):
+        "c00a571450027a085dfa332a745bba7e4c7cc5d2e384a03d3c422c7520482ccb",
+    ("sample", 2, "random", 64, 13):
+        "a2c6989d3fb8370d5551cd3556b106f40c0bef5b878be21932172702d45853aa",
+    ("sample", 2, "ghz", 64, 14):
+        "81c5c5b9d487bf80ff7c0b9a7ea08314d76b474e5321a4990bc1e74fa38eee20",
+    ("sample", 3, "random", 48, 15):
+        "dac4b8d05afece874c792d3d93837ff1a96edb099f9d578d5df0a3268bda47fd",
+    ("sample", 3, "uniform", 48, 16):
+        "1b958610ec1c5c1a684280e1a9e1480a7964d8af3350c72a950665e93e54bd64",
+    ("sample", 4, "random", 32, 17):
+        "162319cb3ecc0b0cacad1f6e64c5a7cbb5d249cf60b2f84eda58ba438918da7c",
+    ("sample", 4, "ghz", 32, 18):
+        "441d03c08056e8d93d3f0aba53f28a14c305dd68b0a8ed31761449db2bc32dac",
+    ("sample", 5, "random", 16, 19):
+        "2d44fa341ec9c15cc95c27bb8aa3421c23f4eb7835a728a0ea289bb182754b3e",
+    ("branches", 1, "random", 1, 21):
+        "7e94ffa301c34389a91685ce4d9302e461eff5af7da3c844a8da02132b35e980",
+    ("branches", 1, "uniform", 1, 22):
+        "4cba4ebc0ae54dbfd383f7b2dc64f53cf5bd32513be0d5259990912f15a8e539",
+    ("branches", 2, "random", 1, 23):
+        "d54df9296bf910a1f56bbb6451a4ad7e372d5409eb3ce3d8360c1a9079a59828",
+    ("branches", 2, "ghz", 1, 24):
+        "7d1bd2f609064f55271cc0c1d8fb36f1bbb3abad6dbcade7bb5ea9abf51a3c88",
+    ("branches", 3, "random", 1, 25):
+        "428ac1cd066e4ff8aafb45e072d68ec48a173a4a84ca5059cdea5eb28cc6608d",
+    ("branches", 3, "zero", 1, 26):
+        "120ba3465b8289a62c0ca264b73e1c6d0874bbf1775de175e9e8358e9729bcc4",
+    ("branches", 4, "random", 1, 27):
+        "b5d2fc1f58096235bae5f5ba2b9c311f2bbf59f828f3b7df6136a9dd433df637",
+    ("branches", 4, "ghz", 1, 28):
+        "06b24f158604773ddbabe9ee6968a46b7de9f989fc8557bf77c7497fcf6509a7",
+    ("derive-table", 1, "random", 1, 0):
+        "3bf1a712dfb5302708acabcfb2c3af866c785c12197dece8757d2a5c119b44b7",
+    ("derive-table", 2, "random", 1, 0):
+        "93c41d6fd9b04ee4160656ab7cd1eb3678f9b3410700c2217cbb8a025dbb6c9e",
+    ("derive-table", 3, "random", 1, 0):
+        "f1fb2fa26b0fc78dceed9f6f60b4aab5fd593aa6eeb756e05a96e3416b964db3",
+    ("derive-table", 4, "random", 1, 0):
+        "b32c240dde11c147b2eca03c782e88cd3de9c6ea76cdfb188585dc8ca59a21ff",
+    ("certify", 1, "random", 1, 0):
+        "6100cd79000c23280d3181821cc056eb6eaa30faf4faf6ce5884c94f7faf7dc6",
+    ("certify", 2, "random", 1, 0):
+        "300f0f4cf0e29b34e90573896df3cd72349d05007c7825ad86ce26522ee1bd36",
+}
+
+
+def report_digest(mode: str, n: int, input: str, trials: int, seed: int) -> str:
+    cfg = CampaignConfig(n=n, trials=trials, seed=seed, mode=mode, input=input)
+    return hashlib.sha256(run_campaign(cfg).to_json().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", list(GOLDEN), ids=lambda c: "-".join(map(str, c)))
+def test_report_bytes_are_pinned(case):
+    assert report_digest(*case) == GOLDEN[case]

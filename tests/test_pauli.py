@@ -1,11 +1,17 @@
 """Correction factor algebra and token serialization."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from teleportsim import PauliFactor, PauliString, computational_basis_state, parse_pauli_tokens
-from teleportsim.pauli import canonical_factor
+from teleportsim.pauli import canonical_factor, signed_permutation
+
+from conftest import TOL, labels, state_vectors
 
 
 def test_op_counts():
@@ -42,6 +48,41 @@ def test_apply_phase_scales_amplitudes():
     zero = computational_basis_state(("q",), 0)
     p = PauliString(phase=-1)
     assert p.apply(zero).amplitude("0") == -1.0
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_signed_permutation_is_the_dense_matrix(n):
+    order = labels(n)
+    for combo in itertools.product(PauliFactor, repeat=n):
+        perm, sign = signed_permutation(combo)
+        dense = PauliString.from_pairs(zip(order, combo)).matrix(order)
+        assert np.array_equal(np.eye(2 ** n)[perm] * sign[:, None], dense), combo
+
+
+@given(
+    state=state_vectors(max_qubits=4),
+    data=st.data(),
+    phase=st.sampled_from([1, -1, 1j]),
+)
+def test_apply_equals_dense_product(state, data, phase):
+    # The string names the register's qubits in its own, drawn order.
+    order = data.draw(st.permutations(state.qubits))
+    factors = data.draw(st.lists(st.sampled_from(PauliFactor), min_size=len(order),
+                                 max_size=len(order)))
+    p = PauliString.from_pairs(zip(order, factors), phase)
+    out = p.apply(state)
+    assert out.qubits == state.qubits
+    np.testing.assert_allclose(out.amps, p.matrix(state.qubits) @ state.amps, rtol=0, atol=TOL)
+
+
+def test_apply_rejects_a_factor_outside_the_register():
+    state = computational_basis_state(("b1", "b2"), 0)
+    for p in (
+        PauliString.from_pairs([("b3", PauliFactor.X)]),
+        PauliString.from_pairs([("b1", PauliFactor.Z), ("b3", PauliFactor.X)], phase=-1),
+    ):
+        with pytest.raises(ValueError, match="unknown qubit 'b3'"):
+            p.apply(state)
 
 
 def test_matrix_respects_qubit_order():

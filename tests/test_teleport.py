@@ -25,6 +25,7 @@ from teleportsim import (
     teleport_one,
     teleport_two,
 )
+from teleportsim import teleport
 from teleportsim.teleport import (
     VERDICT_MATCH,
     VERDICT_OPERATOR,
@@ -214,6 +215,16 @@ def test_derived_tables_match_composed_rule():
     for n in (1, 2, 3):
         report = certify_table(derive_corrections(n), composed_table(n))
         assert report.all_match, report.counts
+
+
+def test_oracle_never_consults_the_composed_rule_or_the_fixture(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the derivation oracle must stay independent")
+
+    for name in ("composed_correction", "base_factor_map", "reference_table"):
+        monkeypatch.setattr(teleport, name, forbidden)
+    for n in (1, 2, 3):
+        assert len(derive_corrections(n).entries) == 4 ** n
 
 
 def test_derive_width_four_is_unique_and_valid():
