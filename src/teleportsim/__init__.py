@@ -1,107 +1,44 @@
 """Seedable state-vector simulation and certification of Bell-pair
-teleportation protocols with conditional Pauli corrections."""
+teleportation protocols with conditional Pauli corrections.
 
-from .qstate import (
-    StateVector,
-    SingleQubitGate,
-    make_state,
-    computational_basis_state,
-    random_state,
-    with_labels,
-    tensor,
-    apply_gate,
-    reorder,
-    fidelity,
-    project_qubits,
-    format_state_literal,
-    parse_state_literal,
-    StateFormatError,
-)
-from .bell import (
-    BellState,
-    BellOutcome,
-    OutcomeBranch,
-    bell_pair,
-    measure_bell_branches,
-    measure_bell_sample,
-)
-from .pauli import PauliFactor, PauliString, parse_pauli_tokens
+The package exports what the command line's scripts, the acceptance
+suite and the README use; everything else is imported from its module.
+"""
+
+from .qstate import SingleQubitGate, apply_gate, fidelity, make_state, random_state, reorder
+from .bell import BellState, measure_bell_branches
+from .pauli import PauliFactor
 from .teleport import (
-    CorrectionTable,
-    ProtocolTranscript,
-    CertificationReport,
-    teleport_one,
-    teleport_two,
-    teleport_n,
-    teleport_branches,
-    derive_corrections,
     certify_table,
     composed_table,
+    derive_corrections,
     reference_table,
-    AmbiguousCorrectionError,
-    NoCorrectionError,
+    teleport_branches,
+    teleport_n,
 )
-from .harness import (
-    Party,
-    Role,
-    ClassicalMessage,
-    LocalityError,
-    corrections_from_message,
-    run_session,
-    run_all_branches,
-)
-from .cli import CampaignConfig, CampaignReport, chi_square_uniform, load_state, run_campaign
+from .harness import run_session
+from .cli import CampaignConfig, run_campaign
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "StateVector",
     "SingleQubitGate",
-    "make_state",
-    "computational_basis_state",
-    "random_state",
-    "with_labels",
-    "tensor",
     "apply_gate",
-    "reorder",
     "fidelity",
-    "project_qubits",
-    "format_state_literal",
-    "parse_state_literal",
-    "StateFormatError",
+    "make_state",
+    "random_state",
+    "reorder",
     "BellState",
-    "BellOutcome",
-    "OutcomeBranch",
-    "bell_pair",
     "measure_bell_branches",
-    "measure_bell_sample",
     "PauliFactor",
-    "PauliString",
-    "parse_pauli_tokens",
-    "CorrectionTable",
-    "ProtocolTranscript",
-    "CertificationReport",
-    "teleport_one",
-    "teleport_two",
-    "teleport_n",
-    "teleport_branches",
-    "derive_corrections",
     "certify_table",
     "composed_table",
+    "derive_corrections",
     "reference_table",
-    "AmbiguousCorrectionError",
-    "NoCorrectionError",
-    "Party",
-    "Role",
-    "ClassicalMessage",
-    "LocalityError",
-    "corrections_from_message",
+    "teleport_branches",
+    "teleport_n",
     "run_session",
-    "run_all_branches",
     "CampaignConfig",
-    "CampaignReport",
-    "chi_square_uniform",
-    "load_state",
     "run_campaign",
     "__version__",
 ]

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import StateVector, make_state, project_qubits
+from .qstate import PROB_SUM_TOL, StateVector, make_state, project_qubits
 
 _S = 1 / math.sqrt(2)
 
@@ -60,12 +60,12 @@ class BellOutcome:
 
 @dataclass(frozen=True)
 class OutcomeBranch:
-    """One branch of an exhaustive Bell measurement."""
+    """One branch of an exhaustive Bell measurement; the remainder is None
+    when the branch is impossible."""
 
     outcome: BellOutcome
     probability: float
     remainder: StateVector | None
-    impossible: bool
 
 
 def bell_pair(kind: BellState, a: str, b: str) -> StateVector:
@@ -86,9 +86,9 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     for kind in BellState:
         prob, rem = project_qubits(state, (pa, pb), bell_pair(kind, pa, pb))
         outcome = BellOutcome(kind, (pa, pb), kind.bits)
-        branches.append(OutcomeBranch(outcome, prob, rem, rem is None))
+        branches.append(OutcomeBranch(outcome, prob, rem))
     total = sum(b.probability for b in branches)
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > PROB_SUM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
     return branches
 
@@ -102,11 +102,3 @@ def draw_branch(branches: Sequence[OutcomeBranch], rng: np.random.Generator) -> 
     p /= p.sum()
     return branches[int(rng.choice(len(branches), p=p))]
 
-
-def measure_bell_sample(
-    state: StateVector, pair: Sequence[str], rng: np.random.Generator
-) -> tuple[BellOutcome, StateVector]:
-    """Sample one Bell measurement of the pair; returns (outcome, remainder)."""
-    branch = draw_branch(measure_bell_branches(state, pair), rng)
-    assert branch.remainder is not None  # zero-probability branches are never drawn
-    return branch.outcome, branch.remainder

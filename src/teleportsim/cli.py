@@ -17,8 +17,10 @@ import numpy as np
 from scipy.stats import chi2
 
 from .bell import BellState
-from .harness import run_all_branches, run_session
+from .harness import run_session
 from .qstate import (
+    EXIT_FIDELITY_TOL,
+    PROB_SUM_TOL,
     StateVector,
     computational_basis_state,
     make_state,
@@ -27,16 +29,26 @@ from .qstate import (
 )
 from .teleport import (
     MAX_PROTOCOL_WIDTH,
+    MAX_REFERENCE_WIDTH,
     MAX_TABLE_WIDTH,
     ProtocolTranscript,
     certify_table,
+    check_width,
     derive_corrections,
     protocol_labels,
     reference_table,
+    teleport_branches,
 )
 
-FIDELITY_EXIT_THRESHOLD = 1 - 1e-9
-MODES = ("sample", "branches", "derive-table", "certify")
+FIDELITY_EXIT_THRESHOLD = 1 - EXIT_FIDELITY_TOL
+# Mode -> widest n it supports.
+MODE_WIDTHS = {
+    "sample": MAX_PROTOCOL_WIDTH,
+    "branches": MAX_TABLE_WIDTH,
+    "derive-table": MAX_TABLE_WIDTH,
+    "certify": MAX_REFERENCE_WIDTH,
+}
+MODES = tuple(MODE_WIDTHS)
 FIXTURE_NAMES = ("zero", "uniform", "ghz")
 
 
@@ -53,8 +65,7 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if not 1 <= self.n <= MAX_PROTOCOL_WIDTH:
-            raise ValueError(f"n must be 1..{MAX_PROTOCOL_WIDTH}, got {self.n}")
+        check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
 
@@ -111,7 +122,7 @@ def chi_square_uniform(
     bins = counts.shape[0]
     if bins < 2:
         raise ValueError("need at least two bins")
-    if abs(expected_prob * bins - 1.0) > 1e-9:
+    if abs(expected_prob * bins - 1.0) > PROB_SUM_TOL:
         raise ValueError(f"expected_prob {expected_prob} does not cover {bins} bins")
     total = counts.sum()
     if total <= 0:
@@ -154,15 +165,14 @@ def resolve_input(cfg: CampaignConfig, rng: np.random.Generator) -> StateVector:
     return state
 
 
-def _scan_resources(transcripts: list[ProtocolTranscript], n: int) -> list[str]:
+def _resource_problems(t: ProtocolTranscript, n: int) -> list[str]:
     problems = []
-    for t in transcripts:
-        if t.bell_pairs_consumed != n:
-            problems.append(f"branch {t.message}: consumed {t.bell_pairs_consumed} pairs")
-        if len(t.message) != 2 * n:
-            problems.append(f"branch {t.message}: {len(t.message)} classical bits")
-        if t.single_qubit_ops > 2 * n:
-            problems.append(f"branch {t.message}: {t.single_qubit_ops} single-qubit ops")
+    if t.bell_pairs_consumed != n:
+        problems.append(f"branch {t.message}: consumed {t.bell_pairs_consumed} pairs")
+    if len(t.message) != 2 * n:
+        problems.append(f"branch {t.message}: {len(t.message)} classical bits")
+    if t.single_qubit_ops > 2 * n:
+        problems.append(f"branch {t.message}: {t.single_qubit_ops} single-qubit ops")
     return problems
 
 
@@ -173,35 +183,32 @@ def _empty_histogram(n: int) -> dict[str, int]:
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     root = np.random.SeedSequence(cfg.seed)
     input_ss, trials_ss = root.spawn(2)
-    fidelities: list[float] = []
+    fidelities = None
     histogram = None
     statistic = p_value = None
     certification = None
     table_text = None
-    transcripts: list[ProtocolTranscript] = []
+    violations: list[str] = []
 
-    if cfg.mode == "sample":
+    if cfg.mode in ("sample", "branches"):
         xi = resolve_input(cfg, np.random.default_rng(input_ss))
+        if cfg.mode == "sample":
+            # One child seed per session: the same seeds as spawn(trials),
+            # without holding them all. Memory is O(4^n) plus 8 bytes a trial.
+            transcripts = (
+                run_session(xi, cfg.n, trials_ss.spawn(1)[0]) for _ in range(cfg.trials)
+            )
+            fidelities = np.empty(cfg.trials)
+        else:
+            transcripts = teleport_branches(xi)
+            fidelities = np.empty(4 ** cfg.n)
         histogram = _empty_histogram(cfg.n)
-        for child in trials_ss.spawn(cfg.trials):
-            t = run_session(xi, cfg.n, child)
-            transcripts.append(t)
-            fidelities.append(t.final_fidelity)
+        for i, t in enumerate(transcripts):
             histogram[t.message] += 1
-        statistic, p_value = chi_square_uniform(histogram, 1 / 4 ** cfg.n)
-    elif cfg.mode == "branches":
-        if cfg.n > MAX_TABLE_WIDTH:
-            raise ValueError(f"branches mode supports n <= {MAX_TABLE_WIDTH}")
-        xi = resolve_input(cfg, np.random.default_rng(input_ss))
-        transcripts = run_all_branches(xi, cfg.n)
-        histogram = _empty_histogram(cfg.n)
-        for t in transcripts:
-            histogram[t.message] += 1
-            fidelities.append(t.final_fidelity)
+            fidelities[i] = t.final_fidelity
+            violations.extend(_resource_problems(t, cfg.n))
         statistic, p_value = chi_square_uniform(histogram, 1 / 4 ** cfg.n)
     elif cfg.mode == "derive-table":
-        if cfg.n > MAX_TABLE_WIDTH:
-            raise ValueError(f"derive-table mode supports n <= {MAX_TABLE_WIDTH}")
         table_text = derive_corrections(cfg.n).to_text()
     else:  # certify
         derived = derive_corrections(cfg.n)
@@ -209,12 +216,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
 
     return CampaignReport(
         config=cfg,
-        fidelity_min=min(fidelities) if fidelities else None,
-        fidelity_mean=float(np.mean(fidelities)) if fidelities else None,
+        fidelity_min=float(fidelities.min()) if fidelities is not None else None,
+        fidelity_mean=float(fidelities.mean()) if fidelities is not None else None,
         outcome_histogram=histogram,
         chi_square_statistic=statistic,
         chi_square_p_value=p_value,
-        resource_violations=_scan_resources(transcripts, cfg.n),
+        resource_violations=violations,
         certification=certification,
         table_text=table_text,
     )
@@ -257,14 +264,13 @@ def main(argv: list[str] | None = None) -> int:
             strict=args.strict,
         )
         report = run_campaign(cfg)
+        if cfg.out:
+            Path(cfg.out).write_text(report.to_json())
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    text = report.to_json()
-    if cfg.out:
-        Path(cfg.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    if not cfg.out:
+        sys.stdout.write(report.to_json())
     return report.exit_code(cfg.strict)
 
 

@@ -15,18 +15,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import BellOutcome, BellState, bell_pair, draw_branch, measure_bell_branches
+from .bell import BellState, draw_branch, measure_bell_branches
 from .pauli import PauliString
-from .qstate import StateVector, tensor, with_labels
+from .qstate import StateVector
 from .teleport import (
     MAX_PROTOCOL_WIDTH,
-    MAX_TABLE_WIDTH,
     ProtocolTranscript,
     _finish,
-    _measurement_pairs,
+    _walk,
+    check_width,
     composed_correction,
     protocol_labels,
-    teleport_branches,
 )
 
 
@@ -101,8 +100,7 @@ def run_session(
     """One seeded end-to-end session between the two parties."""
     if xi.n_qubits != n:
         raise ValueError(f"input has {xi.n_qubits} qubits, session width is {n}")
-    if not 1 <= n <= MAX_PROTOCOL_WIDTH:
-        raise ValueError(f"session width must be 1..{MAX_PROTOCOL_WIDTH}, got {n}")
+    check_width(n, MAX_PROTOCOL_WIDTH, "session")
     if seed is None:
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
@@ -110,33 +108,12 @@ def run_session(
     xs, ans, bs = protocol_labels(n)
     sender = Party(Role.SENDER, frozenset(xs) | frozenset(ans))
     receiver = Party(Role.RECEIVER, frozenset(bs))
-
-    state = with_labels(xi, xs)
-    for i in range(n, 0, -1):
-        state = tensor(state, bell_pair(resource, ans[i - 1], bs[i - 1]))
-
-    outcomes: list[BellOutcome] = []
-    prob = 1.0
-    for pair in _measurement_pairs(n):
-        branch = sender.measure_pair(state, pair, rng)
-        outcomes.append(branch.outcome)
-        prob *= branch.probability
-        state = branch.remainder
+    [(outcomes, prob, state)] = _walk(
+        xi, resource, lambda state, pair: [sender.measure_pair(state, pair, rng)]
+    )
 
     # The sender's register is fully consumed; only these bits cross over.
     message = ClassicalMessage("".join(o.bits for o in outcomes))
-
     correction = corrections_from_message(message, resource)
     receiver.check_owns(correction.qubits)
-    transcript = _finish(xi, tuple(outcomes), prob, state, resource, table=None)
-    assert transcript.corrections == correction  # pure function of the message
-    return transcript
-
-
-def run_all_branches(xi: StateVector, n: int) -> list[ProtocolTranscript]:
-    """Exhaustive two-party run: one transcript per outcome sequence."""
-    if xi.n_qubits != n:
-        raise ValueError(f"input has {xi.n_qubits} qubits, requested width {n}")
-    if not 1 <= n <= MAX_TABLE_WIDTH:
-        raise ValueError(f"branch enumeration supports 1..{MAX_TABLE_WIDTH} qubits, got {n}")
-    return teleport_branches(xi)
+    return _finish(xi, outcomes, prob, state, resource, correction)

@@ -19,6 +19,7 @@ import numpy as np
 
 from .qstate import (
     IDENTITY_GATE,
+    PHASE_TOL,
     X_GATE,
     Z_GATE,
     ZX_GATE,
@@ -83,7 +84,7 @@ def canonical_factor(matrix: np.ndarray) -> tuple[PauliFactor, complex]:
         ref = f.matrix
         k = int(np.argmax(np.abs(ref)))
         c = m.flat[k] / ref.flat[k]
-        if abs(abs(c) - 1) < 1e-9 and np.allclose(m, c * ref, atol=1e-9):
+        if abs(abs(c) - 1) < PHASE_TOL and np.allclose(m, c * ref, atol=PHASE_TOL):
             return f, complex(c)
     raise ValueError("matrix is not a unit multiple of a correction factor")
 
@@ -150,7 +151,7 @@ class PauliString:
         parts = []
         if self.phase != 1:
             for tok, val in (("-1", -1), ("+i", 1j), ("-i", -1j)):
-                if abs(self.phase - val) < 1e-9:
+                if abs(self.phase - val) < PHASE_TOL:
                     parts.append(tok)
                     break
             else:

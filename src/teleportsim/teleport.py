@@ -1,4 +1,4 @@
-"""Teleportation engines, correction-table derivation, and certification.
+"""The protocol walk and its entry points, table derivation, certification.
 
 The sender holds the input register (x1..xn) and one half (a_i) of each
 Bell pair; the receiver holds the other halves (b_i). Pairs are measured
@@ -20,14 +20,24 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from .bell import BellOutcome, BellState, bell_pair, draw_branch, measure_bell_branches
+from .bell import (
+    BellOutcome,
+    BellState,
+    OutcomeBranch,
+    bell_pair,
+    draw_branch,
+    measure_bell_branches,
+)
 from .pauli import PauliFactor, PauliString, parse_pauli_tokens, signed_permutation
 from . import reference
 from .qstate import (
+    FIDELITY_TOL,
+    PHASE_TOL,
+    SOLVE_TOL,
     StateVector,
     computational_basis_state,
     fidelity,
@@ -40,7 +50,16 @@ from .qstate import (
 
 MAX_PROTOCOL_WIDTH = 5   # sampled runs: 3N qubits must fit the register cap
 MAX_TABLE_WIDTH = 4      # exhaustive enumeration and table derivation
-FIDELITY_TOL = 1e-12
+# The shipped fixture's tables, by width.
+_REFERENCE_ROWS = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}
+MAX_REFERENCE_WIDTH = max(_REFERENCE_ROWS)
+
+
+def check_width(n: int, limit: int, what: str) -> None:
+    """The one width check: `what` supports widths 1..limit."""
+    if not 1 <= n <= limit:
+        raise ValueError(f"{what}: n must be 1..{limit}, got {n}")
+
 
 # Single-pair rule for a psi- resource: a Bell outcome on (x, a) leaves
 # V|u> on b, with V below; every V is its own inverse up to phase, so the
@@ -202,7 +221,7 @@ def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> Correct
 
 def reference_table(n: int) -> CorrectionTable:
     """The shipped fixture table (widths 1 and 2, psi- resource only)."""
-    rows = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}.get(n)
+    rows = _REFERENCE_ROWS.get(n)
     if rows is None:
         raise ValueError(f"no reference table for width {n}")
     _, _, bs = protocol_labels(n)
@@ -210,43 +229,55 @@ def reference_table(n: int) -> CorrectionTable:
     return CorrectionTable(n, BellState.PSI_MINUS, bs, entries)
 
 
-def _initial_joint(xi: StateVector, resource: BellState) -> StateVector:
+def _walk(
+    xi: StateVector,
+    resource: BellState,
+    follow: Callable[[StateVector, tuple[str, str]], Sequence[OutcomeBranch]],
+) -> Iterator[tuple[tuple[BellOutcome, ...], float, StateVector]]:
+    """The protocol, once: n pairs beside the input, then (x_i, a_i)
+    Bell-measured from pair n down.
+
+    `follow(state, pair)` measures one pair and returns the branches to go
+    on with: one drawn branch for a sampled run, all four for enumeration.
+    Yields (outcomes, probability, receiver state) per finished branch,
+    depth first.
+    """
     n = xi.n_qubits
     xs, ans, bs = protocol_labels(n)
-    state = with_labels(xi, xs)
+    joint = with_labels(xi, xs)
     for i in range(n, 0, -1):
-        state = tensor(state, bell_pair(resource, ans[i - 1], bs[i - 1]))
-    return state
+        joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
+    pairs = [(xs[i], ans[i]) for i in range(n - 1, -1, -1)]
+    # A stack, not a recursive closure: a closure that calls itself is a
+    # reference cycle, and one per session would pin its rng until a GC pass.
+    stack = [((), 1.0, joint)]
+    while stack:
+        outcomes, prob, state = stack.pop()
+        if len(outcomes) == n:
+            yield outcomes, prob, state
+            continue
+        branches = follow(state, pairs[len(outcomes)])
+        stack.extend(
+            (outcomes + (b.outcome,), prob * b.probability, b.remainder) for b in reversed(branches)
+        )
 
 
-def _measurement_pairs(n: int) -> list[tuple[str, str]]:
-    xs, ans, _ = protocol_labels(n)
-    return [(xs[i], ans[i]) for i in range(n - 1, -1, -1)]
+def _every_branch(state: StateVector, pair: tuple[str, str]) -> Sequence[OutcomeBranch]:
+    branches = measure_bell_branches(state, pair)
+    for branch in branches:
+        if branch.remainder is None:
+            # Bell-resource branches are exactly uniform; hitting this
+            # would falsify the protocol, not the input.
+            raise RuntimeError(f"impossible branch {branch.outcome} in protocol enumeration")
+    return branches
 
 
 def enumerate_protocol_branches(
     xi: StateVector, resource: BellState = BellState.PSI_MINUS
 ) -> list[tuple[tuple[BellOutcome, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
-    n = xi.n_qubits
-    if not 1 <= n <= MAX_TABLE_WIDTH:
-        raise ValueError(f"branch enumeration supports 1..{MAX_TABLE_WIDTH} qubits, got {n}")
-    pairs = _measurement_pairs(n)
-    out: list[tuple[tuple[BellOutcome, ...], float, StateVector]] = []
-
-    def walk(state: StateVector, prefix: tuple[BellOutcome, ...], prob: float) -> None:
-        if len(prefix) == n:
-            out.append((prefix, prob, state))
-            return
-        for branch in measure_bell_branches(state, pairs[len(prefix)]):
-            if branch.impossible:
-                # Bell-resource branches are exactly uniform; hitting this
-                # would falsify the protocol, not the input.
-                raise RuntimeError(f"impossible branch {branch.outcome} in protocol enumeration")
-            walk(branch.remainder, prefix + (branch.outcome,), prob * branch.probability)
-
-    walk(_initial_joint(xi, resource), (), 1.0)
-    return out
+    check_width(xi.n_qubits, MAX_TABLE_WIDTH, "branch enumeration")
+    return list(_walk(xi, resource, _every_branch))
 
 
 def _finish(
@@ -255,12 +286,10 @@ def _finish(
     prob: float,
     receiver: StateVector,
     resource: BellState,
-    table: CorrectionTable | None,
+    corr: PauliString,
 ) -> ProtocolTranscript:
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
-    kinds = tuple(o.state for o in outcomes)
-    corr = table.entry(kinds) if table is not None else composed_correction(kinds, bs, resource)
     final = reorder(corr.apply(receiver), bs)
     target = with_labels(xi, bs)
     fid = fidelity(target, final)
@@ -290,55 +319,30 @@ def teleport_branches(
     `table` overrides the engine's composed corrections, letting an
     independently derived table be exercised by the same machinery.
     """
-    return [
-        _finish(xi, outcomes, prob, receiver, resource, table)
-        for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource)
-    ]
-
-
-def _teleport_sampled(
-    xi: StateVector, rng, resource: BellState, table: CorrectionTable | None = None
-) -> ProtocolTranscript:
-    n = xi.n_qubits
-    if not 1 <= n <= MAX_PROTOCOL_WIDTH:
-        raise ValueError(f"protocol supports 1..{MAX_PROTOCOL_WIDTH} qubits, got {n}")
-    if rng is None:
-        raise ValueError("a seeded random generator is required")
-    rng = np.random.default_rng(rng)
-    state = _initial_joint(xi, resource)
-    outcomes: list[BellOutcome] = []
-    prob = 1.0
-    for pair in _measurement_pairs(n):
-        branch = draw_branch(measure_bell_branches(state, pair), rng)
-        outcomes.append(branch.outcome)
-        prob *= branch.probability
-        state = branch.remainder
-    return _finish(xi, tuple(outcomes), prob, state, resource, table)
-
-
-def teleport_one(
-    u: StateVector, resource: BellState = BellState.PSI_MINUS, rng=None
-) -> ProtocolTranscript:
-    """Teleport a single-qubit state over one Bell pair, sampling the outcome."""
-    if u.n_qubits != 1:
-        raise ValueError(f"teleport_one needs a 1-qubit state, got {u.n_qubits} qubits")
-    return _teleport_sampled(u, rng, resource)
-
-
-def teleport_two(
-    phi: StateVector, rng=None, resource: BellState = BellState.PSI_MINUS
-) -> ProtocolTranscript:
-    """Teleport a two-qubit state, possibly entangled, over two Bell pairs."""
-    if phi.n_qubits != 2:
-        raise ValueError(f"teleport_two needs a 2-qubit state, got {phi.n_qubits} qubits")
-    return _teleport_sampled(phi, rng, resource)
+    _, _, bs = protocol_labels(xi.n_qubits)
+    out = []
+    for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
+        kinds = tuple(o.state for o in outcomes)
+        corr = table.entry(kinds) if table is not None else composed_correction(kinds, bs, resource)
+        out.append(_finish(xi, outcomes, prob, receiver, resource, corr))
+    return out
 
 
 def teleport_n(
-    xi: StateVector, rng=None, resource: BellState = BellState.PSI_MINUS
+    xi: StateVector, *, rng, resource: BellState = BellState.PSI_MINUS
 ) -> ProtocolTranscript:
     """Teleport an n-qubit state over n Bell pairs, sampling each outcome."""
-    return _teleport_sampled(xi, rng, resource)
+    n = xi.n_qubits
+    check_width(n, MAX_PROTOCOL_WIDTH, "protocol")
+    if rng is None:
+        raise ValueError("a seeded random generator is required")
+    rng = np.random.default_rng(rng)
+    [(outcomes, prob, receiver)] = _walk(
+        xi, resource, lambda state, pair: [draw_branch(measure_bell_branches(state, pair), rng)]
+    )
+    _, _, bs = protocol_labels(n)
+    corr = composed_correction([o.state for o in outcomes], bs, resource)
+    return _finish(xi, outcomes, prob, receiver, resource, corr)
 
 
 # --- derivation oracle ------------------------------------------------------
@@ -376,7 +380,7 @@ def _solve_correction(
     targets: tuple[str, ...],
     inputs: np.ndarray,
     remainders: np.ndarray,
-    tol: float = 1e-9,
+    tol: float = SOLVE_TOL,
 ) -> tuple[PauliFactor, ...]:
     """Find the unique factor string mapping every remainder to its input.
 
@@ -418,8 +422,7 @@ def derive_corrections(
     for; ambiguity or absence raises. The finished table is then validated
     on `validation_states` random inputs across every branch.
     """
-    if not 1 <= n <= MAX_TABLE_WIDTH:
-        raise ValueError(f"table derivation supports 1..{MAX_TABLE_WIDTH} qubits, got {n}")
+    check_width(n, MAX_TABLE_WIDTH, "table derivation")
     xs, _, bs = protocol_labels(n)
     fiducials = _fiducial_states(xs)
     inputs = np.stack([f.amps for f in fiducials])
@@ -515,7 +518,7 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
         d, r = derived.entries[seq], ref.entries[seq]
         if dict(d.factors) != dict(r.factors):
             verdict = VERDICT_OPERATOR
-        elif abs(d.phase - r.phase) < 1e-9:
+        elif abs(d.phase - r.phase) < PHASE_TOL:
             verdict = VERDICT_MATCH
         else:
             verdict = VERDICT_PHASE

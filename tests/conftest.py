@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from teleportsim import make_state
+from teleportsim.qstate import make_state
 
 TOL = 1e-12
 

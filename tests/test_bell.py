@@ -7,16 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from teleportsim import (
-    BellState,
-    bell_pair,
-    computational_basis_state,
-    fidelity,
-    make_state,
-    measure_bell_branches,
-    measure_bell_sample,
-    tensor,
-)
+from teleportsim.bell import BellState, bell_pair, draw_branch, measure_bell_branches
+from teleportsim.qstate import computational_basis_state, fidelity, make_state, tensor
 
 from conftest import TOL, state_vectors
 
@@ -67,7 +59,7 @@ def test_branches_of_zero_zero():
     branches = measure_bell_branches(s, ("a", "b"))
     probs = [b.probability for b in branches]
     assert probs == pytest.approx([0.0, 0.0, 0.5, 0.5], abs=TOL)
-    assert [b.impossible for b in branches] == [True, True, False, False]
+    assert [b.remainder is None for b in branches] == [True, True, False, False]
     assert branches[0].remainder is None
 
 
@@ -95,10 +87,10 @@ def test_branch_probabilities_sum_to_one(s):
 
 def test_sampling_is_deterministic():
     s = make_state(("a", "b"), [1, 1, 1, 1])
-    draws1 = [measure_bell_sample(s, ("a", "b"), np.random.default_rng(k))[0].state
-              for k in range(20)]
-    draws2 = [measure_bell_sample(s, ("a", "b"), np.random.default_rng(k))[0].state
-              for k in range(20)]
+    draws1 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
+              .outcome.state for k in range(20)]
+    draws2 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
+              .outcome.state for k in range(20)]
     assert draws1 == draws2
     assert len(set(draws1)) > 1
 
@@ -106,15 +98,16 @@ def test_sampling_is_deterministic():
 def test_sampling_requires_rng():
     s = make_state(("a", "b"), [1, 1, 1, 1])
     with pytest.raises(ValueError, match="random generator"):
-        measure_bell_sample(s, ("a", "b"), None)
+        draw_branch(measure_bell_branches(s, ("a", "b")), None)
 
 
 def test_sample_matches_enumerated_branch():
     s = make_state(("a", "b", "c"), np.arange(1, 9))
-    outcome, remainder = measure_bell_sample(s, ("a", "b"), np.random.default_rng(7))
+    drawn = draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(7))
+    assert drawn.remainder is not None  # zero-probability branches are never drawn
     branches = {b.outcome.state: b for b in measure_bell_branches(s, ("a", "b"))}
-    expected = branches[outcome.state].remainder
-    assert np.allclose(remainder.amps, expected.amps, atol=TOL)
+    expected = branches[drawn.outcome.state].remainder
+    assert np.allclose(drawn.remainder.amps, expected.amps, atol=TOL)
 
 
 def test_sampled_frequencies_follow_born_rule():
@@ -128,7 +121,7 @@ def test_sampled_frequencies_follow_born_rule():
     counts = {k: 0 for k in BellState}
     n = 2000
     for _ in range(n):
-        outcome, _ = measure_bell_sample(s, ("a", "b"), rng)
-        counts[outcome.state] += 1
+        branch = draw_branch(measure_bell_branches(s, ("a", "b")), rng)
+        counts[branch.outcome.state] += 1
     for kind, c in counts.items():
         assert abs(c / n - 0.25) < 0.05, (kind, c)

@@ -2,13 +2,18 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from teleportsim import CampaignConfig, CampaignReport, chi_square_uniform, run_campaign
+from teleportsim import cli
 from teleportsim.cli import (
     FIDELITY_EXIT_THRESHOLD,
+    CampaignConfig,
+    CampaignReport,
+    chi_square_uniform,
+    run_campaign,
     fixture_state,
     load_state,
     main,
@@ -136,8 +141,39 @@ def test_branches_campaign_is_exactly_uniform():
 
 
 def test_branches_campaign_width_cap():
-    with pytest.raises(ValueError, match="n <= 4"):
+    with pytest.raises(ValueError, match="branches mode: n must be 1..4"):
         run_campaign(CampaignConfig(n=5, mode="branches"))
+
+
+def test_unsupported_width_fails_at_config(monkeypatch, capsys):
+    for mode, limit in [("sample", 5), ("branches", 4), ("derive-table", 4), ("certify", 2)]:
+        CampaignConfig(n=limit, mode=mode)
+        for n in (0, limit + 1):
+            with pytest.raises(ValueError, match=f"{mode} mode: n must be 1..{limit}, got {n}"):
+                CampaignConfig(n=n, mode=mode)
+
+    # certify --n 3 has no reference table: it must fail before deriving one.
+    def no_work(*args, **kwargs):
+        raise AssertionError("derived a table for an unsupported width")
+
+    monkeypatch.setattr(cli, "derive_corrections", no_work)
+    assert main(["--n", "3", "--mode", "certify"]) == 2
+    assert "certify mode: n must be 1..2, got 3" in capsys.readouterr().err
+
+
+def test_sample_memory_does_not_grow_with_trials():
+    # Memory is O(4^n) plus one float a trial: no transcript or seed is kept.
+    def peak(trials: int) -> int:
+        tracemalloc.start()
+        try:
+            run_campaign(CampaignConfig(n=1, trials=trials, seed=4))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    run_campaign(CampaignConfig(n=1, trials=50, seed=4))  # warm every cache first
+    small, large = peak(500), peak(4000)
+    assert large - small < 0.5 * 2 ** 20, (small, large)
 
 
 def test_derive_table_campaign():
@@ -209,7 +245,10 @@ def test_main_strict_certify_flags_reference_disagreement():
     assert main(["--n", "2", "--mode", "certify", "--out", "/dev/null"]) == 0
 
 
-def test_main_reports_usage_errors(capsys):
+def test_main_reports_usage_errors(capsys, tmp_path):
     assert main(["--input", "/no/such/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err
     assert main(["--n", "3", "--mode", "certify"]) == 2
+    # A directory is not a report file: a usage error, not a traceback.
+    assert main(["--n", "1", "--trials", "3", "--out", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err

@@ -4,21 +4,17 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teleportsim import (
-    BellState,
+from teleportsim.bell import BellState, bell_pair
+from teleportsim.harness import (
     ClassicalMessage,
     LocalityError,
     Party,
     Role,
-    bell_pair,
     corrections_from_message,
-    make_state,
-    run_all_branches,
     run_session,
-    teleport_branches,
-    tensor,
 )
-from teleportsim.teleport import protocol_labels
+from teleportsim.qstate import make_state, tensor
+from teleportsim.teleport import protocol_labels, teleport_branches
 
 from conftest import TOL, rand_state
 
@@ -73,23 +69,21 @@ def test_session_width_checks(phi):
         run_session(six, 6, seed=1)
 
 
-def test_run_all_branches_matches_engine(phi):
-    transcripts = run_all_branches(phi, 2)
-    assert len(transcripts) == 16
-    engine = teleport_branches(phi)
-    assert [t.to_dict() for t in transcripts] == [t.to_dict() for t in engine]
-    for t in transcripts:
-        assert t.final_fidelity >= 1 - TOL
-        assert t.branch_probability == pytest.approx(1 / 16, abs=TOL)
-        assert t.bell_pairs_consumed == 2
-
-
-def test_run_all_branches_width_checks(phi):
-    with pytest.raises(ValueError, match="requested width 1"):
-        run_all_branches(phi, 1)
-    five = rand_state(np.random.default_rng(9), 5)
-    with pytest.raises(ValueError, match="1..4"):
-        run_all_branches(five, 5)
+def test_sessions_land_on_enumerated_branches(phi):
+    # Every sampled session reproduces, exactly, the exhaustive
+    # engine's transcript of the branch it drew.
+    branches = {t.message: t.to_dict() for t in teleport_branches(phi)}
+    assert len(branches) == 16
+    for t in branches.values():
+        assert t["final_fidelity"] >= 1 - TOL
+        assert t["branch_probability"] == pytest.approx(1 / 16, abs=TOL)
+        assert t["bell_pairs_consumed"] == 2
+    seen = set()
+    for seed in range(40):
+        t = run_session(phi, 2, seed)
+        assert t.to_dict() == branches[t.message]
+        seen.add(t.message)
+    assert len(seen) > 8
 
 
 def test_receiver_cannot_measure_senders_pair():

@@ -8,8 +8,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from teleportsim import PauliFactor, PauliString, computational_basis_state, parse_pauli_tokens
-from teleportsim.pauli import canonical_factor, signed_permutation
+from teleportsim.pauli import (
+    PauliFactor,
+    PauliString,
+    canonical_factor,
+    parse_pauli_tokens,
+    signed_permutation,
+)
+from teleportsim.qstate import computational_basis_state
 
 from conftest import TOL, labels, state_vectors
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportsim import (
+from teleportsim.qstate import (
     SingleQubitGate,
     StateFormatError,
     apply_gate,

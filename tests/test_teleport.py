@@ -6,34 +6,28 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportsim import (
-    AmbiguousCorrectionError,
-    BellState,
-    CorrectionTable,
-    NoCorrectionError,
-    PauliFactor,
-    PauliString,
-    certify_table,
-    composed_table,
-    derive_corrections,
-    fidelity,
-    make_state,
-    reference_table,
-    reorder,
-    teleport_branches,
-    teleport_n,
-    teleport_one,
-    teleport_two,
-)
 from teleportsim import teleport
+from teleportsim.bell import BellState
+from teleportsim.harness import run_session
+from teleportsim.pauli import PauliFactor, PauliString
+from teleportsim.qstate import fidelity, make_state, reorder
 from teleportsim.teleport import (
     VERDICT_MATCH,
     VERDICT_OPERATOR,
     VERDICT_PHASE,
+    AmbiguousCorrectionError,
+    CorrectionTable,
+    NoCorrectionError,
     _solve_correction,
+    certify_table,
     composed_correction,
+    composed_table,
+    derive_corrections,
     enumerate_protocol_branches,
     protocol_labels,
+    reference_table,
+    teleport_branches,
+    teleport_n,
 )
 
 from conftest import TOL, rand_state, state_vectors
@@ -64,17 +58,21 @@ def test_single_qubit_branches_are_the_published_rows():
 
 
 def test_teleport_one_sampled_is_deterministic():
-    a = teleport_one(u(), rng=123)
-    b = teleport_one(u(), rng=123)
+    a = teleport_n(u(), rng=123)
+    b = teleport_n(u(), rng=123)
     assert a.to_dict() == b.to_dict()
     assert a.final_fidelity >= 1 - TOL
 
 
 def test_teleport_one_rejects_wrong_width_and_missing_rng():
-    with pytest.raises(ValueError, match="1-qubit"):
-        teleport_one(rand_state(np.random.default_rng(0), 2))
+    with pytest.raises(ValueError, match="protocol: n must be 1..5, got 6"):
+        teleport_n(rand_state(np.random.default_rng(0), 6), rng=1)
     with pytest.raises(ValueError, match="random generator"):
-        teleport_one(u())
+        teleport_n(u(), rng=None)
+    with pytest.raises(TypeError):
+        teleport_n(u())  # the generator is a required keyword
+    with pytest.raises(TypeError):
+        teleport_n(u(), 1)
 
 
 # --- two-pair engine --------------------------------------------------------
@@ -113,17 +111,14 @@ def test_entangled_input_teleports_exactly():
         assert t.final_fidelity >= 1 - TOL
 
 
-def test_teleport_two_matches_teleport_n():
-    phi = rand_state(np.random.default_rng(11), 2, prefix="x")
-    a = teleport_two(phi, rng=77)
-    b = teleport_n(phi, rng=77)
-    assert a.to_dict() == b.to_dict()
-
-
-def test_teleport_one_matches_teleport_n():
-    a = teleport_one(u(), rng=31)
-    b = teleport_n(u(), rng=31)
-    assert a.to_dict() == b.to_dict()
+def test_session_matches_teleport_n():
+    # The two-party session and the bare engine walk the same protocol:
+    # one seed gives one transcript, at every sampled width.
+    for n, seed in [(1, 31), (2, 77), (3, 5), (4, 6), (5, 7)]:
+        xi = rand_state(np.random.default_rng(11 + n), n, prefix="x")
+        a = run_session(xi, n, seed)
+        b = teleport_n(xi, rng=seed)
+        assert a.to_dict() == b.to_dict()
 
 
 # --- n-qubit engine ---------------------------------------------------------
