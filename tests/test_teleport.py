@@ -111,10 +111,24 @@ def test_entangled_input_teleports_exactly():
         assert t.final_fidelity >= 1 - TOL
 
 
-def test_session_matches_teleport_n():
+def test_teleport_two_matches_teleport_n():
     # The two-party session and the bare engine walk the same protocol:
-    # one seed gives one transcript, at every sampled width.
-    for n, seed in [(1, 31), (2, 77), (3, 5), (4, 6), (5, 7)]:
+    # one seed gives one transcript.
+    phi = rand_state(np.random.default_rng(11), 2, prefix="x")
+    a = run_session(phi, 2, 77)
+    b = teleport_n(phi, rng=77)
+    assert a.to_dict() == b.to_dict()
+
+
+def test_teleport_one_matches_teleport_n():
+    a = run_session(u(), 1, 31)
+    b = teleport_n(u(), rng=31)
+    assert a.to_dict() == b.to_dict()
+
+
+def test_session_matches_teleport_n():
+    # The same at the wider sampled widths.
+    for n, seed in [(3, 5), (4, 6), (5, 7)]:
         xi = rand_state(np.random.default_rng(11 + n), n, prefix="x")
         a = run_session(xi, n, seed)
         b = teleport_n(xi, rng=seed)
