@@ -14,7 +14,6 @@ from .teleport import (
     derive_corrections,
     reference_table,
     teleport_branches,
-    teleport_n,
 )
 from .harness import run_session
 from .cli import CampaignConfig, run_campaign
@@ -36,7 +35,6 @@ __all__ = [
     "derive_corrections",
     "reference_table",
     "teleport_branches",
-    "teleport_n",
     "run_session",
     "CampaignConfig",
     "run_campaign",

@@ -8,7 +8,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .qstate import PROB_SUM_TOL, StateVector, make_state, project_qubits
+from .qstate import PROB_SUM_TOL, StateVector, _state, make_state, project_qubits
 
 _S = 1 / math.sqrt(2)
 
@@ -39,14 +39,17 @@ class BellState(Enum):
 
 
 _ORDER = list(BellState)
+# Validated and normalized once, here: make_state's rows differ from the
+# raw _S rows by an ulp, and every pair and projection uses these bits.
 _AMPLITUDES = {
-    BellState.PSI_MINUS: np.array([0, _S, -_S, 0], dtype=complex),
-    BellState.PSI_PLUS: np.array([0, _S, _S, 0], dtype=complex),
-    BellState.PHI_MINUS: np.array([_S, 0, 0, -_S], dtype=complex),
-    BellState.PHI_PLUS: np.array([_S, 0, 0, _S], dtype=complex),
+    kind: make_state(("a", "b"), row).amps
+    for kind, row in {
+        BellState.PSI_MINUS: [0, _S, -_S, 0],
+        BellState.PSI_PLUS: [0, _S, _S, 0],
+        BellState.PHI_MINUS: [_S, 0, 0, -_S],
+        BellState.PHI_PLUS: [_S, 0, 0, _S],
+    }.items()
 }
-for _a in _AMPLITUDES.values():
-    _a.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -72,7 +75,7 @@ def bell_pair(kind: BellState, a: str, b: str) -> StateVector:
     """A fresh Bell pair of the given kind on qubits (a, b)."""
     if a == b:
         raise ValueError(f"Bell pair needs two distinct qubits, got {a!r} twice")
-    return make_state((a, b), kind.amplitudes)
+    return _state((a, b), kind.amplitudes)
 
 
 def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[OutcomeBranch]:
@@ -84,7 +87,7 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     pa, pb = pair
     branches = []
     for kind in BellState:
-        prob, rem = project_qubits(state, (pa, pb), bell_pair(kind, pa, pb))
+        prob, rem = project_qubits(state, (pa, pb), kind.amplitudes)
         outcome = BellOutcome(kind, (pa, pb), kind.bits)
         branches.append(OutcomeBranch(outcome, prob, rem))
     total = sum(b.probability for b in branches)

@@ -109,7 +109,10 @@ def make_state(qubits: Sequence[str], amps) -> StateVector:
         )
     if not np.all(np.isfinite(a.view(float))):
         raise ValueError("amplitudes must be finite")
-    norm = np.linalg.norm(a)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(a)
+    if not np.isfinite(norm):
+        raise ValueError("amplitudes too large to normalize: the norm overflows")
     if norm < NORM_TOL:
         raise ValueError("cannot normalize a zero state vector")
     return _state(qubits, a / norm)
@@ -188,9 +191,10 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def project_qubits(
-    state: StateVector, targets: Sequence[str], onto: StateVector
+    state: StateVector, targets: Sequence[str], onto: np.ndarray
 ) -> tuple[float, StateVector | None]:
-    """Project the target qubits onto a state over exactly those qubits.
+    """Project the target qubits onto `onto`, normalized amplitudes over
+    `targets` in that order (targets[0] most significant).
 
     Returns (probability, normalized remainder over the remaining qubits).
     The remainder is None when the probability is below IMPOSSIBLE_PROB,
@@ -200,10 +204,10 @@ def project_qubits(
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate projection targets in {targets}")
-    if sorted(onto.qubits) != sorted(targets):
-        raise ValueError(f"projector covers {onto.qubits}, expected exactly {targets}")
+    if np.shape(onto) != (2 ** len(targets),):
+        raise ValueError(f"projector has shape {np.shape(onto)}, not ({2 ** len(targets)},)")
     axes = [state.axis(q) for q in targets]
-    o = reorder(onto, targets).amps.conj().reshape([2] * len(targets))
+    o = np.conj(onto).reshape([2] * len(targets))
     t = state.amps.reshape([2] * state.n_qubits)
     rem = np.tensordot(o, t, axes=(list(range(len(targets))), axes))
     prob = float(np.vdot(rem, rem).real)

@@ -252,3 +252,8 @@ def test_main_reports_usage_errors(capsys, tmp_path):
     # A directory is not a report file: a usage error, not a traceback.
     assert main(["--n", "1", "--trials", "3", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
+    # Finite amplitudes whose norm overflows: a bad literal, not a crash.
+    huge = tmp_path / "huge.txt"
+    huge.write_text("q1 q2\n1e308,0\n1e308,0\n0,0\n0,0\n")
+    assert main(["--n", "2", "--input", str(huge)]) == 2
+    assert "too large" in capsys.readouterr().err

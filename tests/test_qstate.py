@@ -54,6 +54,12 @@ def test_make_state_rejects_nonfinite():
         make_state(("q1",), [np.inf, 0])
 
 
+def test_make_state_rejects_overflowing_norm():
+    # Finite amplitudes whose norm overflows would "normalize" to all zeros.
+    with pytest.raises(ValueError, match="too large"):
+        make_state(("q1", "q2"), [1e308, 1e308, 0, 0])
+
+
 def test_make_state_rejects_duplicate_labels():
     with pytest.raises(ValueError, match="duplicate"):
         make_state(("q1", "q1"), [1, 0, 0, 0])
@@ -261,7 +267,7 @@ def test_projection_branch_of_single_pair_protocol():
     alpha, beta = 0.6, 0.8
     u = make_state(("x",), [alpha, beta])
     joint = tensor(u, bell_pair(BellState.PSI_MINUS, "a", "b"))
-    prob, rem = project_qubits(joint, ("x", "a"), bell_pair(BellState.PSI_PLUS, "x", "a"))
+    prob, rem = project_qubits(joint, ("x", "a"), BellState.PSI_PLUS.amplitudes)
     assert prob == pytest.approx(0.25, abs=TOL)
     assert rem.qubits == ("b",)
     assert rem.amps[0] == pytest.approx(-alpha, abs=TOL)
@@ -270,7 +276,7 @@ def test_projection_branch_of_single_pair_protocol():
 
 def test_projecting_everything_leaves_empty_remainder():
     s = bell_pair(BellState.PSI_MINUS, "a", "b")
-    prob, rem = project_qubits(s, ("a", "b"), s)
+    prob, rem = project_qubits(s, ("a", "b"), s.amps)
     assert prob == pytest.approx(1.0, abs=TOL)
     assert rem.qubits == ()
     assert rem.amps[0] == pytest.approx(1.0, abs=TOL)
@@ -278,16 +284,20 @@ def test_projecting_everything_leaves_empty_remainder():
 
 def test_impossible_branch_is_marked():
     s = computational_basis_state(("a", "b"), "00")
-    prob, rem = project_qubits(s, ("a", "b"), bell_pair(BellState.PSI_MINUS, "a", "b"))
+    prob, rem = project_qubits(s, ("a", "b"), BellState.PSI_MINUS.amplitudes)
     assert prob == pytest.approx(0.0, abs=TOL)
     assert rem is None
 
 
 def test_projection_validates_targets():
     s = computational_basis_state(("a", "b", "c"), 0)
-    onto = computational_basis_state(("a", "c"), 0)
-    with pytest.raises(ValueError, match="exactly"):
+    onto = computational_basis_state(("a", "b", "c"), 0).amps
+    with pytest.raises(ValueError, match=r"shape \(8,\), not \(4,\)"):
         project_qubits(s, ("a", "b"), onto)
+    with pytest.raises(ValueError, match="duplicate"):
+        project_qubits(s, ("a", "a"), onto[:4])
+    with pytest.raises(ValueError, match="unknown qubit"):
+        project_qubits(s, ("a", "d"), onto[:4])
 
 
 @settings(max_examples=50, deadline=None)
@@ -296,7 +306,7 @@ def test_bell_projector_completeness(s):
     pair = s.qubits[:2]
     total = 0.0
     for kind in BellState:
-        prob, _ = project_qubits(s, pair, bell_pair(kind, *pair))
+        prob, _ = project_qubits(s, pair, kind.amplitudes)
         total += prob
     assert abs(total - 1.0) < TOL
 

@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 
 from teleportsim import teleport
 from teleportsim.bell import BellState
-from teleportsim.harness import run_session
+from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
 from teleportsim.teleport import (
+    MAX_PROTOCOL_WIDTH,
     VERDICT_MATCH,
     VERDICT_OPERATOR,
     VERDICT_PHASE,
@@ -27,7 +28,6 @@ from teleportsim.teleport import (
     protocol_labels,
     reference_table,
     teleport_branches,
-    teleport_n,
 )
 
 from conftest import TOL, rand_state, state_vectors
@@ -58,21 +58,19 @@ def test_single_qubit_branches_are_the_published_rows():
 
 
 def test_teleport_one_sampled_is_deterministic():
-    a = teleport_n(u(), rng=123)
-    b = teleport_n(u(), rng=123)
+    a = run_session(u(), 1, 123)
+    b = run_session(u(), 1, 123)
     assert a.to_dict() == b.to_dict()
     assert a.final_fidelity >= 1 - TOL
 
 
 def test_teleport_one_rejects_wrong_width_and_missing_rng():
-    with pytest.raises(ValueError, match="protocol: n must be 1..5, got 6"):
-        teleport_n(rand_state(np.random.default_rng(0), 6), rng=1)
-    with pytest.raises(ValueError, match="random generator"):
-        teleport_n(u(), rng=None)
+    with pytest.raises(ValueError, match="session: n must be 1..5, got 6"):
+        run_session(rand_state(np.random.default_rng(0), 6), 6, 1)
+    with pytest.raises(ValueError, match="seed is required"):
+        run_session(u(), 1, None)
     with pytest.raises(TypeError):
-        teleport_n(u())  # the generator is a required keyword
-    with pytest.raises(TypeError):
-        teleport_n(u(), 1)
+        run_session(u(), 1)  # the seed is a required argument
 
 
 # --- two-pair engine --------------------------------------------------------
@@ -111,30 +109,6 @@ def test_entangled_input_teleports_exactly():
         assert t.final_fidelity >= 1 - TOL
 
 
-def test_teleport_two_matches_teleport_n():
-    # The two-party session and the bare engine walk the same protocol:
-    # one seed gives one transcript.
-    phi = rand_state(np.random.default_rng(11), 2, prefix="x")
-    a = run_session(phi, 2, 77)
-    b = teleport_n(phi, rng=77)
-    assert a.to_dict() == b.to_dict()
-
-
-def test_teleport_one_matches_teleport_n():
-    a = run_session(u(), 1, 31)
-    b = teleport_n(u(), rng=31)
-    assert a.to_dict() == b.to_dict()
-
-
-def test_session_matches_teleport_n():
-    # The same at the wider sampled widths.
-    for n, seed in [(3, 5), (4, 6), (5, 7)]:
-        xi = rand_state(np.random.default_rng(11 + n), n, prefix="x")
-        a = run_session(xi, n, seed)
-        b = teleport_n(xi, rng=seed)
-        assert a.to_dict() == b.to_dict()
-
-
 # --- n-qubit engine ---------------------------------------------------------
 
 
@@ -147,7 +121,7 @@ def test_all_psi_minus_needs_no_correction(n):
 
 def test_five_qubit_sampled_run():
     xi = rand_state(np.random.default_rng(55), 5, prefix="x")
-    t = teleport_n(xi, rng=9)
+    t = run_session(xi, 5, 9)
     assert t.final_fidelity >= 1 - TOL
     assert t.bell_pairs_consumed == 5
     assert len(t.message) == 10
@@ -156,18 +130,31 @@ def test_five_qubit_sampled_run():
 
 def test_width_limits():
     with pytest.raises(ValueError, match="1..5"):
-        teleport_n(rand_state(np.random.default_rng(0), 6), rng=1)
+        run_session(rand_state(np.random.default_rng(0), 6), 6, 1)
     with pytest.raises(ValueError, match="1..4"):
         teleport_branches(rand_state(np.random.default_rng(0), 5))
 
 
-@settings(max_examples=25, deadline=None)
-@given(state_vectors(max_qubits=3, prefix="x"))
-def test_branches_are_uniform_and_faithful(xi):
+@settings(max_examples=40, deadline=None)
+@given(
+    state_vectors(max_qubits=MAX_PROTOCOL_WIDTH, prefix="x"),
+    st.sampled_from(BellState),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_branches_are_uniform_and_faithful(xi, resource, seed):
+    # The paper's contract for every resource kind: a sampled session at
+    # every accepted width, and every enumerated branch up to width 3.
     n = xi.n_qubits
-    for t in teleport_branches(xi):
+    ts = [run_session(xi, n, seed, resource)]
+    if n <= 3:
+        ts += teleport_branches(xi, resource)
+    for t in ts:
         assert abs(t.branch_probability - 0.25 ** n) < TOL
         assert t.final_fidelity >= 1 - TOL
+        assert t.bell_pairs_consumed == n
+        assert len(t.message) == 2 * n
+        assert t.single_qubit_ops <= 2 * n
+        assert t.corrections == corrections_from_message(t.message, resource)
 
 
 @settings(max_examples=10, deadline=None)
