@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -31,12 +31,6 @@ class BellState(Enum):
     def amplitudes(self) -> np.ndarray:
         return _AMPLITUDES[self]
 
-    @classmethod
-    def from_bits(cls, bits: str) -> "BellState":
-        if len(bits) != 2 or set(bits) - {"0", "1"}:
-            raise ValueError(f"need a 2-bit code, got {bits!r}")
-        return _ORDER[int(bits, 2)]
-
 
 _ORDER = list(BellState)
 # Validated and normalized once, here: make_state's rows differ from the
@@ -52,13 +46,24 @@ _AMPLITUDES = {
 }
 
 
+def encode(kinds: Iterable[BellState]) -> str:
+    """The classical message for a sequence of outcomes: two bits each, in order."""
+    return "".join(k.bits for k in kinds)
+
+
+def decode(code: str) -> tuple[BellState, ...]:
+    """The outcome sequence a message names; the inverse of encode."""
+    if len(code) % 2 or set(code) - {"0", "1"}:
+        raise ValueError(f"bad outcome code {code!r}: need an even-length bit string")
+    return tuple(_ORDER[int(code[i : i + 2], 2)] for i in range(0, len(code), 2))
+
+
 @dataclass(frozen=True)
 class BellOutcome:
     """One Bell measurement result on an ordered qubit pair."""
 
     state: BellState
     pair: tuple[str, str]
-    bits: str
 
 
 @dataclass(frozen=True)
@@ -88,8 +93,7 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     branches = []
     for kind in BellState:
         prob, rem = project_qubits(state, (pa, pb), kind.amplitudes)
-        outcome = BellOutcome(kind, (pa, pb), kind.bits)
-        branches.append(OutcomeBranch(outcome, prob, rem))
+        branches.append(OutcomeBranch(BellOutcome(kind, (pa, pb)), prob, rem))
     total = sum(b.probability for b in branches)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
@@ -97,11 +101,10 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
 
 
 def draw_branch(branches: Sequence[OutcomeBranch], rng: np.random.Generator) -> OutcomeBranch:
-    """Sample one branch according to its probability."""
+    """Sample one branch according to its probability, by the inverse-CDF
+    draw Generator.choice makes from one uniform variate."""
     if rng is None:
         raise ValueError("a seeded random generator is required")
-    rng = np.random.default_rng(rng)
-    p = np.array([max(b.probability, 0.0) for b in branches])
-    p /= p.sum()
-    return branches[int(rng.choice(len(branches), p=p))]
+    cdf = np.cumsum([b.probability for b in branches])
+    return branches[int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))]
 

@@ -16,11 +16,10 @@ from pathlib import Path
 import numpy as np
 from scipy.stats import chi2
 
-from .bell import BellState
+from .bell import encode
 from .harness import run_session
 from .qstate import (
     EXIT_FIDELITY_TOL,
-    PROB_SUM_TOL,
     StateVector,
     computational_basis_state,
     make_state,
@@ -35,6 +34,7 @@ from .teleport import (
     certify_table,
     check_width,
     derive_corrections,
+    outcome_sequences,
     protocol_labels,
     reference_table,
     teleport_branches,
@@ -83,9 +83,7 @@ class CampaignReport:
     table_text: str | None
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["config"] = asdict(self.config)
-        return d
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
@@ -107,13 +105,10 @@ class CampaignReport:
         return 0
 
 
-def chi_square_uniform(
-    histogram: dict[str, int] | list[int], expected_prob: float
-) -> tuple[float, float]:
+def chi_square_uniform(histogram: dict[str, int] | list[int]) -> tuple[float, float]:
     """Pearson statistic and p-value of counts against a uniform law.
 
-    Every bin must be present (zero counts included); expected_prob must
-    equal 1/bins.
+    Every bin must be present (zero counts included).
     """
     counts = np.asarray(
         [histogram[k] for k in sorted(histogram)] if isinstance(histogram, dict) else histogram,
@@ -122,12 +117,10 @@ def chi_square_uniform(
     bins = counts.shape[0]
     if bins < 2:
         raise ValueError("need at least two bins")
-    if abs(expected_prob * bins - 1.0) > PROB_SUM_TOL:
-        raise ValueError(f"expected_prob {expected_prob} does not cover {bins} bins")
     total = counts.sum()
     if total <= 0:
         raise ValueError("histogram is empty")
-    expected = total * expected_prob
+    expected = total / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
     p_value = float(chi2.sf(statistic, bins - 1))
     return statistic, p_value
@@ -176,10 +169,6 @@ def _resource_problems(t: ProtocolTranscript, n: int) -> list[str]:
     return problems
 
 
-def _empty_histogram(n: int) -> dict[str, int]:
-    return {format(i, f"0{2 * n}b"): 0 for i in range(4 ** n)}
-
-
 def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     root = np.random.SeedSequence(cfg.seed)
     input_ss, trials_ss = root.spawn(2)
@@ -202,12 +191,12 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         else:
             transcripts = teleport_branches(xi)
             fidelities = np.empty(4 ** cfg.n)
-        histogram = _empty_histogram(cfg.n)
+        histogram = {encode(seq): 0 for seq in outcome_sequences(cfg.n)}
         for i, t in enumerate(transcripts):
             histogram[t.message] += 1
             fidelities[i] = t.final_fidelity
             violations.extend(_resource_problems(t, cfg.n))
-        statistic, p_value = chi_square_uniform(histogram, 1 / 4 ** cfg.n)
+        statistic, p_value = chi_square_uniform(histogram)
     elif cfg.mode == "derive-table":
         table_text = derive_corrections(cfg.n).to_text()
     else:  # certify

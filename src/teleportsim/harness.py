@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bell import BellState, draw_branch, measure_bell_branches
+from .bell import BellState, decode, draw_branch, encode, measure_bell_branches
 from .pauli import PauliString
 from .qstate import StateVector
 from .teleport import (
@@ -61,34 +61,14 @@ class Party:
         return correction.apply(state)
 
 
-@dataclass(frozen=True)
-class ClassicalMessage:
-    """The 2n bits the sender transmits, in measurement order."""
-
-    bits: str
-
-    def __post_init__(self):
-        if len(self.bits) % 2 or set(self.bits) - {"0", "1"}:
-            raise ValueError(f"message must be an even-length bit string, got {self.bits!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.bits) // 2
-
-    def decode(self) -> tuple[BellState, ...]:
-        return tuple(
-            BellState.from_bits(self.bits[i : i + 2]) for i in range(0, len(self.bits), 2)
-        )
-
-
 def corrections_from_message(
-    message: ClassicalMessage | str,
+    message: str,
     resource: BellState = BellState.PSI_MINUS,
 ) -> PauliString:
     """The receiver's correction, computed from the message bits alone."""
-    msg = message if isinstance(message, ClassicalMessage) else ClassicalMessage(message)
-    _, _, bs = protocol_labels(msg.n)
-    return composed_correction(msg.decode(), bs, resource)
+    kinds = decode(message)
+    _, _, bs = protocol_labels(len(kinds))
+    return composed_correction(kinds, bs, resource)
 
 
 def run_session(
@@ -113,7 +93,7 @@ def run_session(
     )
 
     # The sender's register is fully consumed; only these bits cross over.
-    message = ClassicalMessage("".join(o.bits for o in outcomes))
+    message = encode(o.state for o in outcomes)
     correction = corrections_from_message(message, resource)
     receiver.check_owns(correction.qubits)
     return _finish(xi, outcomes, prob, state, resource, correction)

@@ -19,7 +19,7 @@ NORM_TOL = 1e-12
 IMPOSSIBLE_PROB = 1e-14
 FIDELITY_TOL = 1e-12  # the paper's contract: every corrected branch reaches 1 - this
 PHASE_TOL = 1e-9  # phases and Pauli entries are exactly 0, +-1 or +-i up to rounding
-PROB_SUM_TOL = 1e-9  # branch or bin probabilities summing further from 1 mean a bug
+PROB_SUM_TOL = 1e-9  # branch probabilities summing further from 1 mean a bug
 SOLVE_TOL = 1e-9  # a correct candidate reaches 1 - this; a wrong one scores 0 on some fiducial
 EXIT_FIDELITY_TOL = 1e-9  # the CLI's failure line: broken corrections fall far below it
 MAX_QUBITS = 16
@@ -113,8 +113,12 @@ def make_state(qubits: Sequence[str], amps) -> StateVector:
         norm = np.linalg.norm(a)
     if not np.isfinite(norm):
         raise ValueError("amplitudes too large to normalize: the norm overflows")
-    if norm < NORM_TOL:
+    if norm == 0:
         raise ValueError("cannot normalize a zero state vector")
+    if norm < NORM_TOL:
+        raise ValueError(
+            f"amplitudes too small to normalize: the norm {norm:.3g} is below NORM_TOL"
+        )
     return _state(qubits, a / norm)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +29,8 @@ from .bell import (
     BellState,
     OutcomeBranch,
     bell_pair,
+    decode,
+    encode,
     measure_bell_branches,
 )
 from .pauli import PauliFactor, PauliString, parse_pauli_tokens, signed_permutation
@@ -39,6 +41,7 @@ from .qstate import (
     SOLVE_TOL,
     StateVector,
     computational_basis_state,
+    fidelity,
     make_state,
     random_state,
     reorder,
@@ -129,8 +132,7 @@ class CorrectionTable:
         """One row per outcome sequence: 2n-bit code, then tokens."""
         lines = []
         for seq in outcome_sequences(self.n):
-            code = "".join(k.bits for k in seq)
-            lines.append(f"{code} {self.entries[seq].tokens()}")
+            lines.append(f"{encode(seq)} {self.entries[seq].tokens()}")
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -142,10 +144,9 @@ class CorrectionTable:
             if not line or line.startswith("#"):
                 continue
             code, _, toks = line.partition(" ")
-            if len(code) != 2 * n or set(code) - {"0", "1"}:
+            if len(code) != 2 * n:
                 raise ValueError(f"bad outcome code {code!r} for width {n}")
-            seq = tuple(BellState.from_bits(code[i : i + 2]) for i in range(0, 2 * n, 2))
-            entries[seq] = parse_pauli_tokens(toks)
+            entries[decode(code)] = parse_pauli_tokens(toks)
         return cls(n, resource, bs, entries)
 
 
@@ -169,7 +170,7 @@ class ProtocolTranscript:
             "n": self.n,
             "resource": self.resource.value,
             "outcomes": [
-                {"state": o.state.value, "pair": list(o.pair), "bits": o.bits}
+                {"state": o.state.value, "pair": list(o.pair), "bits": o.state.bits}
                 for o in self.outcomes
             ],
             "message": self.message,
@@ -298,7 +299,7 @@ def _finish(
         n=n,
         resource=resource,
         outcomes=outcomes,
-        message="".join(o.bits for o in outcomes),
+        message=encode(o.state for o in outcomes),
         corrections=corr,
         bell_pairs_consumed=n,
         single_qubit_ops=corr.op_count,
@@ -421,14 +422,16 @@ def derive_corrections(
 
 def _validate_table(table: CorrectionTable, resource: BellState) -> None:
     rng = np.random.default_rng(VALIDATION_SEED)
-    xs, _, _ = protocol_labels(table.n)
+    xs, _, bs = protocol_labels(table.n)
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
-        for t in teleport_branches(xi, resource, table=table):
-            if t.final_fidelity < 1 - FIDELITY_TOL:
+        target = with_labels(xi, bs)
+        for outcomes, _, receiver in enumerate_protocol_branches(xi, resource):
+            kinds = tuple(o.state for o in outcomes)
+            f = fidelity(target, table.entry(kinds).apply(receiver))
+            if f < 1 - FIDELITY_TOL:
                 raise NoCorrectionError(
-                    f"derived table fails validation on branch {t.message}: "
-                    f"fidelity {t.final_fidelity}"
+                    f"derived table fails validation on branch {encode(kinds)}: fidelity {f}"
                 )
 
 
@@ -442,15 +445,6 @@ class CertificationRow:
     derived: str
     reference: str
     verdict: str
-
-    def to_dict(self) -> dict:
-        return {
-            "code": self.code,
-            "outcomes": list(self.outcomes),
-            "derived": self.derived,
-            "reference": self.reference,
-            "verdict": self.verdict,
-        }
 
 
 @dataclass(frozen=True)
@@ -469,12 +463,7 @@ class CertificationReport:
         return tuple(r for r in self.rows if r.verdict == VERDICT_OPERATOR)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "rows": [r.to_dict() for r in self.rows],
-            "counts": dict(self.counts),
-            "all_match": self.all_match,
-        }
+        return {**asdict(self), "all_match": self.all_match}
 
 
 def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> CertificationReport:
@@ -500,7 +489,7 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
         counts[verdict] += 1
         rows.append(
             CertificationRow(
-                code="".join(k.bits for k in seq),
+                code=encode(seq),
                 outcomes=tuple(k.value for k in seq),
                 derived=d.tokens(),
                 reference=r.tokens(),

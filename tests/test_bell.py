@@ -7,7 +7,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from teleportsim.bell import BellState, bell_pair, draw_branch, measure_bell_branches
+from teleportsim.bell import (
+    BellState,
+    bell_pair,
+    decode,
+    draw_branch,
+    encode,
+    measure_bell_branches,
+)
 from teleportsim.qstate import computational_basis_state, fidelity, make_state, tensor
 
 from conftest import TOL, state_vectors
@@ -36,9 +43,12 @@ def test_bit_codes_are_fixed():
 
 def test_from_bits_round_trip():
     for kind in BellState:
-        assert BellState.from_bits(kind.bits) is kind
-    with pytest.raises(ValueError):
-        BellState.from_bits("2x")
+        assert decode(kind.bits) == (kind,)
+    seqs = [(), tuple(BellState), (BellState.PHI_MINUS, BellState.PSI_PLUS)]
+    for seq in seqs:
+        assert decode(encode(seq)) == seq
+    with pytest.raises(ValueError, match="even-length bit string"):
+        decode("2x")
 
 
 def test_bell_states_are_orthonormal():
@@ -125,3 +135,18 @@ def test_sampled_frequencies_follow_born_rule():
         counts[branch.outcome.state] += 1
     for kind, c in counts.items():
         assert abs(c / n - 0.25) < 0.05, (kind, c)
+
+
+def test_draw_matches_generator_choice():
+    # draw_branch must map each uniform variate to the branch that
+    # Generator.choice picks from the same generator state, or every
+    # sampled golden digest moves.
+    uniform = make_state(("a", "b"), [1, 1, 0, 0])
+    skewed = make_state(("a", "b", "c"), np.arange(1, 9))
+    for s in (uniform, skewed):
+        branches = measure_bell_branches(s, ("a", "b"))
+        p = np.array([b.probability for b in branches])
+        ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(2500):
+            expected = int(theirs.choice(4, p=p / p.sum()))
+            assert draw_branch(branches, ours) is branches[expected]

@@ -29,30 +29,28 @@ from conftest import TOL, rand_state
 
 
 def test_chi_square_exactly_uniform_counts():
-    stat, p = chi_square_uniform({"00": 25, "01": 25, "10": 25, "11": 25}, 0.25)
+    stat, p = chi_square_uniform({"00": 25, "01": 25, "10": 25, "11": 25})
     assert stat == 0.0
     assert p == 1.0
 
 
 def test_chi_square_concentrated_counts():
-    stat, p = chi_square_uniform([100, 0, 0, 0], 0.25)
+    stat, p = chi_square_uniform([100, 0, 0, 0])
     assert stat == pytest.approx(300.0)
     assert p < 1e-10
 
 
 def test_chi_square_accepts_list_or_dict():
-    a = chi_square_uniform([10, 20, 30, 40], 0.25)
-    b = chi_square_uniform({"d": 40, "a": 10, "b": 20, "c": 30}, 0.25)
+    a = chi_square_uniform([10, 20, 30, 40])
+    b = chi_square_uniform({"d": 40, "a": 10, "b": 20, "c": 30})
     assert a == b
 
 
 def test_chi_square_input_validation():
     with pytest.raises(ValueError, match="two bins"):
-        chi_square_uniform([100], 1.0)
-    with pytest.raises(ValueError, match="does not cover"):
-        chi_square_uniform([1, 2, 3, 4], 0.5)
+        chi_square_uniform([100])
     with pytest.raises(ValueError, match="empty"):
-        chi_square_uniform([0, 0, 0, 0], 0.25)
+        chi_square_uniform([0, 0, 0, 0])
 
 
 # --- config and input resolution --------------------------------------------
@@ -257,3 +255,11 @@ def test_main_reports_usage_errors(capsys, tmp_path):
     huge.write_text("q1 q2\n1e308,0\n1e308,0\n0,0\n0,0\n")
     assert main(["--n", "2", "--input", str(huge)]) == 2
     assert "too large" in capsys.readouterr().err
+    # A nonzero norm below NORM_TOL is too small, not zero.
+    tiny = tmp_path / "tiny.txt"
+    tiny.write_text("q1\n1e-13,0\n0,0\n")
+    assert main(["--n", "1", "--input", str(tiny)]) == 2
+    assert "too small" in capsys.readouterr().err
+    tiny.write_text("q1\n0,0\n0,0\n")
+    assert main(["--n", "1", "--input", str(tiny)]) == 2
+    assert "zero state vector" in capsys.readouterr().err

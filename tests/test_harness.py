@@ -4,9 +4,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teleportsim.bell import BellState, bell_pair
+from teleportsim.bell import BellState, bell_pair, decode
 from teleportsim.harness import (
-    ClassicalMessage,
     LocalityError,
     Party,
     Role,
@@ -40,17 +39,13 @@ def test_message_carries_two_bits_per_pair(phi):
     for n, xi in ((1, rand_state(np.random.default_rng(1), 1)), (2, phi)):
         t = run_session(xi, n, seed=7)
         assert len(t.message) == 2 * n
-        msg = ClassicalMessage(t.message)
-        assert msg.n == n
-        assert tuple(o.state for o in t.outcomes) == msg.decode()
+        assert tuple(o.state for o in t.outcomes) == decode(t.message)
 
 
 def test_correction_is_pure_function_of_message(phi):
     for seed in range(8):
         t = run_session(phi, 2, seed=seed)
         assert corrections_from_message(t.message) == t.corrections
-        # Re-decoding through the dataclass gives the same thing.
-        assert corrections_from_message(ClassicalMessage(t.message)) == t.corrections
 
 
 def test_session_accepts_alternate_resource(phi):
@@ -106,10 +101,10 @@ def test_sender_cannot_correct_receivers_qubit():
 
 def test_message_validation():
     with pytest.raises(ValueError, match="even-length bit string"):
-        ClassicalMessage("011")
+        corrections_from_message("011")
     with pytest.raises(ValueError, match="even-length bit string"):
-        ClassicalMessage("0a")
-    assert ClassicalMessage("0111").decode() == (
+        corrections_from_message("0a")
+    assert decode("0111") == (
         BellState.PSI_PLUS,
         BellState.PHI_PLUS,
     )

@@ -49,6 +49,12 @@ def test_make_state_rejects_zero_vector():
         make_state(("q1",), [0, 0])
 
 
+def test_make_state_rejects_tiny_norm():
+    # Nonzero, but below NORM_TOL: a distinct cause from the zero vector.
+    with pytest.raises(ValueError, match="too small to normalize"):
+        make_state(("q1",), [1e-13, 0])
+
+
 def test_make_state_rejects_nonfinite():
     with pytest.raises(ValueError, match="finite"):
         make_state(("q1",), [np.inf, 0])

@@ -293,6 +293,17 @@ def test_table_text_round_trip():
 def test_table_from_text_rejects_bad_code():
     with pytest.raises(ValueError, match="bad outcome code"):
         CorrectionTable.from_text("012 I\n", 1, PSIM)
+    with pytest.raises(ValueError, match="bad outcome code"):
+        CorrectionTable.from_text("0a I\n", 1, PSIM)
+
+
+def test_validation_names_the_wrong_row():
+    table = composed_table(2)
+    entries = dict(table.entries)
+    entries[(PSIP, PHIM)] = PauliString.from_pairs([("b1", PauliFactor.Z)])
+    wrong = CorrectionTable(2, PSIM, table.targets, entries)
+    with pytest.raises(NoCorrectionError, match=r"branch 0110: fidelity 0\.6403"):
+        teleport._validate_table(wrong, PSIM)
 
 
 def test_composed_correction_orders_by_measurement():
