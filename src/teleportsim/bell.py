@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import PROB_SUM_TOL, StateVector, _state, make_state, project_qubits
+from .qstate import PROB_SUM_TOL, StateVector, _state, make_state, project_qubits, reorder
 
 _S = 1 / math.sqrt(2)
 
@@ -87,9 +87,14 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     """All four Bell branches of measuring the pair, in canonical order.
 
     The measured pair is consumed: remainders live on the remaining qubits.
-    Branch probabilities always sum to 1.
+    Branch probabilities always sum to 1. The pair is moved to the front
+    once, so the four projections share one transposed copy.
     """
     pa, pb = pair
+    # A trailing pair needs no copy: project_qubits contracts it in place,
+    # as a strided view, and a copy would change the last bits of the sums.
+    if (pa, pb) != state.qubits[-2:]:
+        state = reorder(state, (pa, pb) + tuple(q for q in state.qubits if q not in (pa, pb)))
     branches = []
     for kind in BellState:
         prob, rem = project_qubits(state, (pa, pb), kind.amplitudes)

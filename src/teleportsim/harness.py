@@ -96,4 +96,4 @@ def run_session(
     message = encode(o.state for o in outcomes)
     correction = corrections_from_message(message, resource)
     receiver.check_owns(correction.qubits)
-    return _finish(xi, outcomes, prob, state, resource, correction)
+    return _finish(xi, outcomes, prob, state, resource, correction, message)

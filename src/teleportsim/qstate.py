@@ -204,20 +204,26 @@ def project_qubits(
     The remainder is None when the probability is below IMPOSSIBLE_PROB,
     marking the branch as impossible. Projecting every qubit leaves an
     empty (zero-qubit) remainder carrying only a phase.
+
+    This is np.tensordot's own contraction, one row product against the
+    register with the targets moved to the front, without its wrapper.
+    When the targets already lead or trail the register the move is a
+    view, so callers projecting one register several times reorder it once.
     """
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate projection targets in {targets}")
-    if np.shape(onto) != (2 ** len(targets),):
-        raise ValueError(f"projector has shape {np.shape(onto)}, not ({2 ** len(targets)},)")
+    k = len(targets)
+    if np.shape(onto) != (2 ** k,):
+        raise ValueError(f"projector has shape {np.shape(onto)}, not ({2 ** k},)")
     axes = [state.axis(q) for q in targets]
-    o = np.conj(onto).reshape([2] * len(targets))
-    t = state.amps.reshape([2] * state.n_qubits)
-    rem = np.tensordot(o, t, axes=(list(range(len(targets))), axes))
+    rest = [i for i in range(state.n_qubits) if i not in axes]
+    t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
+    rem = np.dot(np.conj(onto).reshape(1, -1), t)
     prob = float(np.vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None
-    keep = tuple(q for q in state.qubits if q not in targets)
+    keep = tuple(state.qubits[i] for i in rest)
     return prob, _state(keep, rem.reshape(-1) / math.sqrt(prob))
 
 

@@ -41,7 +41,6 @@ from .qstate import (
     SOLVE_TOL,
     StateVector,
     computational_basis_state,
-    fidelity,
     make_state,
     random_state,
     reorder,
@@ -281,6 +280,18 @@ def enumerate_protocol_branches(
     return list(_walk(xi, resource, _every_branch))
 
 
+def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:
+    """One walk's 4^n receivers as a (4^n, 2^n) array: rows in canonical
+    outcome order, amplitudes in (b1..bn) bit order."""
+    n = xi.n_qubits
+    _, _, bs = protocol_labels(n)
+    branches = enumerate_protocol_branches(xi, resource)
+    # Every branch ends on the same labels, so one transpose orders them all.
+    axes = [1 + branches[0][2].axis(b) for b in bs]
+    rows = np.stack([receiver.amps for _, _, receiver in branches])
+    return rows.reshape([len(rows)] + [2] * n).transpose([0] + axes).reshape(len(rows), -1)
+
+
 def _finish(
     xi: StateVector,
     outcomes: tuple[BellOutcome, ...],
@@ -288,6 +299,7 @@ def _finish(
     receiver: StateVector,
     resource: BellState,
     corr: PauliString,
+    message: str,
 ) -> ProtocolTranscript:
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
@@ -299,7 +311,7 @@ def _finish(
         n=n,
         resource=resource,
         outcomes=outcomes,
-        message=encode(o.state for o in outcomes),
+        message=message,
         corrections=corr,
         bell_pairs_consumed=n,
         single_qubit_ops=corr.op_count,
@@ -324,7 +336,7 @@ def teleport_branches(
     for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
         kinds = tuple(o.state for o in outcomes)
         corr = table.entry(kinds) if table is not None else composed_correction(kinds, bs, resource)
-        out.append(_finish(xi, outcomes, prob, receiver, resource, corr))
+        out.append(_finish(xi, outcomes, prob, receiver, resource, corr, encode(kinds)))
     return out
 
 
@@ -404,16 +416,11 @@ def derive_corrections(
     xs, _, bs = protocol_labels(n)
     fiducials = _fiducial_states(xs)
     inputs = np.stack([f.amps for f in fiducials])
-    remainders: dict[tuple[BellState, ...], list[np.ndarray]] = {
-        seq: [] for seq in outcome_sequences(n)
-    }
-    for f in fiducials:
-        for outcomes, _, receiver in enumerate_protocol_branches(f, resource):
-            kinds = tuple(o.state for o in outcomes)
-            remainders[kinds].append(reorder(receiver, bs).amps)
+    # (fiducial, outcome sequence, amplitude)
+    remainders = np.stack([_receiver_rows(f, resource) for f in fiducials])
     entries = {}
-    for seq, rows in remainders.items():
-        combo = _solve_correction(bs, inputs, np.stack(rows))
+    for i, seq in enumerate(outcome_sequences(n)):
+        combo = _solve_correction(bs, inputs, remainders[:, i])
         entries[seq] = PauliString.from_pairs(zip(bs, combo))
     table = CorrectionTable(n, resource, bs, entries)
     _validate_table(table, resource)
@@ -421,18 +428,30 @@ def derive_corrections(
 
 
 def _validate_table(table: CorrectionTable, resource: BellState) -> None:
+    """Check the table on VALIDATION_STATES random inputs, every branch.
+
+    Each entry is one signed permutation on (b1..bn) with its phase folded
+    into the signs, so a walk's receivers are corrected by one gather and
+    scored by one contraction with the input. Walks are scored one at a
+    time; the first failing branch in canonical order is named.
+    """
     rng = np.random.default_rng(VALIDATION_SEED)
     xs, _, bs = protocol_labels(table.n)
+    seqs = list(outcome_sequences(table.n))
+    corrections = [table.entry(seq) for seq in seqs]
+    forms = [signed_permutation(tuple(c.factor_for(b) for b in bs)) for c in corrections]
+    perms = np.stack([perm for perm, _ in forms])
+    signs = np.stack([sign * c.phase for (_, sign), c in zip(forms, corrections)])
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
-        target = with_labels(xi, bs)
-        for outcomes, _, receiver in enumerate_protocol_branches(xi, resource):
-            kinds = tuple(o.state for o in outcomes)
-            f = fidelity(target, table.entry(kinds).apply(receiver))
-            if f < 1 - FIDELITY_TOL:
-                raise NoCorrectionError(
-                    f"derived table fails validation on branch {encode(kinds)}: fidelity {f}"
-                )
+        corrected = np.take_along_axis(_receiver_rows(xi, resource), perms, axis=1) * signs
+        fid = np.abs(corrected @ xi.amps.conj()) ** 2
+        bad = np.flatnonzero(fid < 1 - FIDELITY_TOL)
+        if bad.size:
+            raise NoCorrectionError(
+                f"derived table fails validation on branch {encode(seqs[bad[0]])}: "
+                f"fidelity {float(fid[bad[0]])}"
+            )
 
 
 # --- certification ----------------------------------------------------------

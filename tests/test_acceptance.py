@@ -27,6 +27,7 @@ from teleportsim import (
     run_session,
     teleport_branches,
 )
+from teleportsim.bell import encode
 from teleportsim.harness import corrections_from_message
 from teleportsim.reference import SINGLE_QUBIT_OUTPUT_SIGNS
 from teleportsim.teleport import VERDICT_MATCH, VERDICT_OPERATOR, protocol_labels
@@ -96,7 +97,7 @@ def test_criterion_3_two_qubit_table_certification():
     rows = {r.code: r for r in report.rows}
     consistent, inconsistent = [], []
     for seq, fixture_entry in ref.entries.items():
-        code = "".join(k.bits for k in seq)
+        code = encode(seq)
         if dict(fixture_entry.factors) == dict(composed.entry(seq).factors):
             consistent.append(code)
         else:
@@ -106,7 +107,7 @@ def test_criterion_3_two_qubit_table_certification():
     listed_ok = {r.code for r in report.disagreements()} == set(inconsistent)
     oracle_ok = all(
         rows[c].derived == derived.entry(
-            tuple(s for s in next(q for q in ref.entries if "".join(k.bits for k in q) == c))
+            tuple(s for s in next(q for q in ref.entries if encode(q) == c))
         ).tokens()
         for c in inconsistent
     )

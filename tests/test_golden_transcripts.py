@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from teleportsim.bell import BellState, draw_branch, measure_bell_branches
+from teleportsim.bell import BellState, draw_branch, encode, measure_bell_branches
 from teleportsim.harness import run_session
 from teleportsim.qstate import random_state
 from teleportsim.teleport import (
@@ -161,8 +161,9 @@ def engine_sampled_run(xi, seed, resource: BellState):
         xi, resource, lambda state, pair: [draw_branch(measure_bell_branches(state, pair), rng)]
     )
     _, _, bs = protocol_labels(xi.n_qubits)
-    corr = composed_correction([o.state for o in outcomes], bs, resource)
-    return _finish(xi, outcomes, prob, receiver, resource, corr)
+    kinds = [o.state for o in outcomes]
+    corr = composed_correction(kinds, bs, resource)
+    return _finish(xi, outcomes, prob, receiver, resource, corr, encode(kinds))
 
 
 def transcripts(entry: str, resource: BellState, n: int) -> list:
