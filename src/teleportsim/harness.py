@@ -66,9 +66,7 @@ def corrections_from_message(
     resource: BellState = BellState.PSI_MINUS,
 ) -> PauliString:
     """The receiver's correction, computed from the message bits alone."""
-    kinds = decode(message)
-    _, _, bs = protocol_labels(len(kinds))
-    return composed_correction(kinds, bs, resource)
+    return composed_correction(decode(message), resource)
 
 
 def run_session(
@@ -95,5 +93,5 @@ def run_session(
     # The sender's register is fully consumed; only these bits cross over.
     message = encode(o.state for o in outcomes)
     correction = corrections_from_message(message, resource)
-    receiver.check_owns(correction.qubits)
-    return _finish(xi, outcomes, prob, state, resource, correction, message)
+    corrected = receiver.apply_correction(state, correction)
+    return _finish(xi, outcomes, prob, corrected, resource, correction, message)

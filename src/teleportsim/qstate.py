@@ -69,10 +69,6 @@ class StateVector:
     def n_qubits(self) -> int:
         return len(self.qubits)
 
-    @property
-    def dim(self) -> int:
-        return self.amps.shape[0]
-
     def axis(self, qubit: str) -> int:
         try:
             return self.qubits.index(qubit)
@@ -176,7 +172,7 @@ def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateV
 def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
     """Permute the register so its qubits appear in new_order."""
     new_order = tuple(new_order)
-    if sorted(new_order) != sorted(state.qubits) or len(set(new_order)) != len(new_order):
+    if len(new_order) != state.n_qubits or set(new_order) != set(state.qubits):
         raise ValueError(f"{new_order} is not a permutation of {state.qubits}")
     if new_order == state.qubits:
         return state

@@ -37,6 +37,7 @@ from .pauli import PauliFactor, PauliString, parse_pauli_tokens, signed_permutat
 from . import reference
 from .qstate import (
     FIDELITY_TOL,
+    MAX_QUBITS,
     PHASE_TOL,
     SOLVE_TOL,
     StateVector,
@@ -48,7 +49,7 @@ from .qstate import (
     with_labels,
 )
 
-MAX_PROTOCOL_WIDTH = 5   # sampled runs: 3N qubits must fit the register cap
+MAX_PROTOCOL_WIDTH = MAX_QUBITS // 3  # sampled runs hold all 3n qubits at once
 MAX_TABLE_WIDTH = 4      # exhaustive enumeration and table derivation
 VALIDATION_STATES = 100  # random inputs every derived table is checked on
 VALIDATION_SEED = 0x5EED
@@ -106,8 +107,12 @@ class CorrectionTable:
 
     n: int
     resource: BellState
-    targets: tuple[str, ...]
     entries: Mapping[tuple[BellState, ...], PauliString]
+
+    @property
+    def targets(self) -> tuple[str, ...]:
+        """The receiver's qubits (b1..bn), the only ones an entry may touch."""
+        return protocol_labels(self.n)[2]
 
     def __post_init__(self):
         expected = set(outcome_sequences(self.n))
@@ -136,7 +141,6 @@ class CorrectionTable:
 
     @classmethod
     def from_text(cls, text: str, n: int, resource: BellState) -> "CorrectionTable":
-        _, _, bs = protocol_labels(n)
         entries = {}
         for line in text.splitlines():
             line = line.strip()
@@ -146,7 +150,7 @@ class CorrectionTable:
             if len(code) != 2 * n:
                 raise ValueError(f"bad outcome code {code!r} for width {n}")
             entries[decode(code)] = parse_pauli_tokens(toks)
-        return cls(n, resource, bs, entries)
+        return cls(n, resource, entries)
 
 
 @dataclass(frozen=True)
@@ -198,25 +202,21 @@ def base_factor_map(resource: BellState) -> Mapping[BellState, PauliFactor]:
     return {kind: table.entry((kind,)).factor_for("b1") for kind in BellState}
 
 
-def composed_correction(
-    kinds: Sequence[BellState], targets: Sequence[str], resource: BellState
-) -> PauliString:
+def composed_correction(kinds: Sequence[BellState], resource: BellState) -> PauliString:
     """Engine-route correction: one base factor per pair, composed.
 
-    `kinds` is in measurement order (pair n first), `targets` is (b1..bn).
+    `kinds` is in measurement order (pair n first), so its last outcome
+    corrects b1.
     """
     m = base_factor_map(resource)
-    n = len(kinds)
-    return PauliString.from_pairs((targets[i], m[kinds[n - 1 - i]]) for i in range(n))
+    _, _, bs = protocol_labels(len(kinds))
+    return PauliString.from_pairs((b, m[k]) for b, k in zip(bs, reversed(kinds)))
 
 
 def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> CorrectionTable:
     """The engine's full table for width n."""
-    _, _, bs = protocol_labels(n)
-    entries = {
-        seq: composed_correction(seq, bs, resource) for seq in outcome_sequences(n)
-    }
-    return CorrectionTable(n, resource, bs, entries)
+    entries = {seq: composed_correction(seq, resource) for seq in outcome_sequences(n)}
+    return CorrectionTable(n, resource, entries)
 
 
 def reference_table(n: int) -> CorrectionTable:
@@ -224,52 +224,41 @@ def reference_table(n: int) -> CorrectionTable:
     rows = _REFERENCE_ROWS.get(n)
     if rows is None:
         raise ValueError(f"no reference table for width {n}")
-    _, _, bs = protocol_labels(n)
     entries = {seq: parse_pauli_tokens(toks) for seq, toks in rows.items()}
-    return CorrectionTable(n, BellState.PSI_MINUS, bs, entries)
+    return CorrectionTable(n, BellState.PSI_MINUS, entries)
 
 
 def _walk(
     xi: StateVector,
     resource: BellState,
     follow: Callable[[StateVector, tuple[str, str]], Sequence[OutcomeBranch]],
-) -> Iterator[tuple[tuple[BellOutcome, ...], float, StateVector]]:
+) -> list[tuple[tuple[BellOutcome, ...], float, StateVector]]:
     """The protocol, once: n pairs beside the input, then (x_i, a_i)
-    Bell-measured from pair n down.
+    Bell-measured from pair n down, one level at a time.
 
     `follow(state, pair)` measures one pair and returns the branches to go
     on with: one drawn branch for a sampled run, all four for enumeration.
-    Yields (outcomes, probability, receiver state) per finished branch,
-    depth first.
+    Returns (outcomes, probability, receiver state) per finished branch.
+    Each level extends the last one's branches in order, so the first
+    outcome is the most significant: the order of outcome_sequences.
     """
     n = xi.n_qubits
     xs, ans, bs = protocol_labels(n)
     joint = with_labels(xi, xs)
     for i in range(n, 0, -1):
         joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
-    pairs = [(xs[i], ans[i]) for i in range(n - 1, -1, -1)]
-    # A stack, not a recursive closure: a closure that calls itself is a
-    # reference cycle, and one per session would pin its rng until a GC pass.
-    stack = [((), 1.0, joint)]
-    while stack:
-        outcomes, prob, state = stack.pop()
-        if len(outcomes) == n:
-            yield outcomes, prob, state
-            continue
-        branches = follow(state, pairs[len(outcomes)])
-        stack.extend(
-            (outcomes + (b.outcome,), prob * b.probability, b.remainder) for b in reversed(branches)
-        )
-
-
-def _every_branch(state: StateVector, pair: tuple[str, str]) -> Sequence[OutcomeBranch]:
-    branches = measure_bell_branches(state, pair)
-    for branch in branches:
-        if branch.remainder is None:
-            # Bell-resource branches are exactly uniform; hitting this
-            # would falsify the protocol, not the input.
-            raise RuntimeError(f"impossible branch {branch.outcome} in protocol enumeration")
-    return branches
+    level = [((), 1.0, joint)]
+    for i in range(n - 1, -1, -1):
+        deeper = []
+        for outcomes, prob, state in level:
+            for b in follow(state, (xs[i], ans[i])):
+                if b.remainder is None:
+                    # Bell-resource branches are exactly uniform; hitting this
+                    # would falsify the protocol, not the input.
+                    raise RuntimeError(f"impossible branch {b.outcome} in the protocol walk")
+                deeper.append((outcomes + (b.outcome,), prob * b.probability, b.remainder))
+        level = deeper
+    return level
 
 
 def enumerate_protocol_branches(
@@ -277,7 +266,7 @@ def enumerate_protocol_branches(
 ) -> list[tuple[tuple[BellOutcome, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
     check_width(xi.n_qubits, MAX_TABLE_WIDTH, "branch enumeration")
-    return list(_walk(xi, resource, _every_branch))
+    return _walk(xi, resource, measure_bell_branches)
 
 
 def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:
@@ -296,14 +285,15 @@ def _finish(
     xi: StateVector,
     outcomes: tuple[BellOutcome, ...],
     prob: float,
-    receiver: StateVector,
+    corrected: StateVector,
     resource: BellState,
     corr: PauliString,
     message: str,
 ) -> ProtocolTranscript:
+    """The transcript of one branch, from the receiver after `corr`."""
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
-    final = reorder(corr.apply(receiver), bs)
+    final = reorder(corrected, bs)
     target = with_labels(xi, bs)
     overlap = complex(np.vdot(target.amps, final.amps))
     residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
@@ -328,15 +318,19 @@ def teleport_branches(
 ) -> list[ProtocolTranscript]:
     """Run every outcome branch exhaustively; one transcript per branch.
 
-    `table` overrides the engine's composed corrections, letting an
-    independently derived table be exercised by the same machinery.
+    Corrections come from `table`, the engine's composed table by default;
+    a derived table is exercised by the same machinery. The table must be
+    for the walk's resource.
     """
-    _, _, bs = protocol_labels(xi.n_qubits)
+    if table is None:
+        table = composed_table(xi.n_qubits, resource)
+    if table.resource is not resource:
+        raise ValueError(f"table is for {table.resource.value}, the walk uses {resource.value}")
     out = []
     for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
         kinds = tuple(o.state for o in outcomes)
-        corr = table.entry(kinds) if table is not None else composed_correction(kinds, bs, resource)
-        out.append(_finish(xi, outcomes, prob, receiver, resource, corr, encode(kinds)))
+        corr = table.entry(kinds)
+        out.append(_finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(kinds)))
     return out
 
 
@@ -422,13 +416,14 @@ def derive_corrections(
     for i, seq in enumerate(outcome_sequences(n)):
         combo = _solve_correction(bs, inputs, remainders[:, i])
         entries[seq] = PauliString.from_pairs(zip(bs, combo))
-    table = CorrectionTable(n, resource, bs, entries)
-    _validate_table(table, resource)
+    table = CorrectionTable(n, resource, entries)
+    _validate_table(table)
     return table
 
 
-def _validate_table(table: CorrectionTable, resource: BellState) -> None:
-    """Check the table on VALIDATION_STATES random inputs, every branch.
+def _validate_table(table: CorrectionTable) -> None:
+    """Check the table on VALIDATION_STATES random inputs, every branch of
+    walks over the table's own resource.
 
     Each entry is one signed permutation on (b1..bn) with its phase folded
     into the signs, so a walk's receivers are corrected by one gather and
@@ -444,7 +439,7 @@ def _validate_table(table: CorrectionTable, resource: BellState) -> None:
     signs = np.stack([sign * c.phase for (_, sign), c in zip(forms, corrections)])
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
-        corrected = np.take_along_axis(_receiver_rows(xi, resource), perms, axis=1) * signs
+        corrected = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs
         fid = np.abs(corrected @ xi.amps.conj()) ** 2
         bad = np.flatnonzero(fid < 1 - FIDELITY_TOL)
         if bad.size:

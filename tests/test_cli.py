@@ -46,6 +46,17 @@ def test_chi_square_accepts_list_or_dict():
     assert a == b
 
 
+@pytest.mark.parametrize("dof", [3, 15, 63, 255, 1023])
+def test_chi_square_p_value_matches_scipy_stats(dof):
+    from scipy.stats import chi2
+
+    rng = np.random.default_rng(dof)
+    for total in (dof // 4 + 1, 5 * (dof + 1), 200 * (dof + 1)):
+        for _ in range(20):
+            stat, p = chi_square_uniform(list(rng.multinomial(total, [1 / (dof + 1)] * (dof + 1))))
+            assert p == float(chi2.sf(stat, dof))
+
+
 def test_chi_square_input_validation():
     with pytest.raises(ValueError, match="two bins"):
         chi_square_uniform([100])
@@ -54,6 +65,10 @@ def test_chi_square_input_validation():
 
 
 # --- config and input resolution --------------------------------------------
+
+
+def test_parser_defaults_are_the_config_defaults():
+    assert CampaignConfig(**vars(cli.build_parser().parse_args([]))) == CampaignConfig()
 
 
 def test_config_validation():

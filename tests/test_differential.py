@@ -173,9 +173,9 @@ def scalar_validation(table: CorrectionTable, resource: BellState):
     return None
 
 
-def batched_validation(table: CorrectionTable, resource: BellState):
+def batched_validation(table: CorrectionTable):
     try:
-        _validate_table(table, resource)
+        _validate_table(table)
     except NoCorrectionError as e:
         m = re.fullmatch(r"derived table fails validation on branch (\d+): fidelity (\S+)", str(e))
         assert m, str(e)
@@ -187,7 +187,7 @@ def batched_validation(table: CorrectionTable, resource: BellState):
 @pytest.mark.parametrize("n", range(1, 5))
 def test_batched_validation_accepts_composed_tables(n, resource):
     table = composed_table(n, resource)
-    assert batched_validation(table, resource) is None
+    assert batched_validation(table) is None
     if n <= 3:
         assert scalar_validation(table, resource) is None
 
@@ -206,7 +206,7 @@ def broken(table: CorrectionTable, rows, phase_only: bool) -> CorrectionTable:
         swapped = PauliFactor.I if entry.factor_for(last) is PauliFactor.X else PauliFactor.X
         pairs = [(q, entry.factor_for(q)) for q in table.targets[:-1]] + [(last, swapped)]
         entries[seqs[row]] = PauliString.from_pairs(pairs, entry.phase)
-    return CorrectionTable(table.n, table.resource, table.targets, entries)
+    return CorrectionTable(table.n, table.resource, entries)
 
 
 @pytest.mark.parametrize("phase_only", [False, True], ids=["operator", "phase"])
@@ -216,7 +216,7 @@ def test_batched_validation_names_the_same_branch(n, resource, phase_only):
     # Two broken rows: the earlier one in canonical order must be named.
     rows = (4 ** n // 3, 4 ** n * 2 // 3)
     table = broken(composed_table(n, resource), rows, phase_only)
-    got, want = batched_validation(table, resource), scalar_validation(table, resource)
+    got, want = batched_validation(table), scalar_validation(table, resource)
     if phase_only:
         # A global phase is invisible to fidelity: both accept the table.
         assert got is None and want is None

@@ -160,10 +160,9 @@ def engine_sampled_run(xi, seed, resource: BellState):
     [(outcomes, prob, receiver)] = _walk(
         xi, resource, lambda state, pair: [draw_branch(measure_bell_branches(state, pair), rng)]
     )
-    _, _, bs = protocol_labels(xi.n_qubits)
     kinds = [o.state for o in outcomes]
-    corr = composed_correction(kinds, bs, resource)
-    return _finish(xi, outcomes, prob, receiver, resource, corr, encode(kinds))
+    corr = composed_correction(kinds, resource)
+    return _finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(kinds))
 
 
 def transcripts(entry: str, resource: BellState, n: int) -> list:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import teleport
-from teleportsim.bell import BellState
+from teleportsim.bell import BellState, OutcomeBranch, measure_bell_branches
 from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
@@ -133,6 +133,25 @@ def test_width_limits():
         run_session(rand_state(np.random.default_rng(0), 6), 6, 1)
     with pytest.raises(ValueError, match="1..4"):
         teleport_branches(rand_state(np.random.default_rng(0), 5))
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_teleport_branches_rejects_a_table_for_another_resource(n):
+    # A psi- table on a phi+ walk would score wrong fidelities, not fail.
+    xi = rand_state(np.random.default_rng(n), n)
+    with pytest.raises(ValueError, match=r"psi-.*phi\+"):
+        teleport_branches(xi, BellState.PHI_PLUS, table=composed_table(n))
+
+
+def test_walk_rejects_an_impossible_branch():
+    def measure_then_lose_one(state, pair):
+        branches = measure_bell_branches(state, pair)
+        branches[2] = OutcomeBranch(branches[2].outcome, 0.0, None)
+        return branches
+
+    xi = rand_state(np.random.default_rng(5), 2)
+    with pytest.raises(RuntimeError, match="impossible branch"):
+        teleport._walk(xi, PSIM, measure_then_lose_one)
 
 
 @settings(max_examples=40, deadline=None)
@@ -268,17 +287,15 @@ def test_solver_flags_unrecoverable_remainders():
 
 
 def test_table_requires_full_coverage():
-    _, _, bs = protocol_labels(1)
     with pytest.raises(ValueError, match="all 4 outcome sequences"):
-        CorrectionTable(1, PSIM, bs, {(PSIM,): PauliString()})
+        CorrectionTable(1, PSIM, {(PSIM,): PauliString()})
 
 
 def test_table_enforces_operation_bound():
-    _, _, bs = protocol_labels(1)
     entries = {(k,): PauliString.from_pairs([("b1", PauliFactor.ZX), ("b2", PauliFactor.X)])
                for k in BellState}
     with pytest.raises(ValueError, match="bound"):
-        CorrectionTable(1, PSIM, bs, entries)
+        CorrectionTable(1, PSIM, entries)
 
 
 def test_table_text_round_trip():
@@ -301,14 +318,14 @@ def test_validation_names_the_wrong_row():
     table = composed_table(2)
     entries = dict(table.entries)
     entries[(PSIP, PHIM)] = PauliString.from_pairs([("b1", PauliFactor.Z)])
-    wrong = CorrectionTable(2, PSIM, table.targets, entries)
+    wrong = CorrectionTable(2, PSIM, entries)
     with pytest.raises(NoCorrectionError, match=r"branch 0110: fidelity 0\.6403"):
-        teleport._validate_table(wrong, PSIM)
+        teleport._validate_table(wrong)
 
 
 def test_composed_correction_orders_by_measurement():
     # Outcome list is (pair 2, pair 1); factors land on (b2, b1) respectively.
-    corr = composed_correction((PHIM, PSIP), ("b1", "b2"), PSIM)
+    corr = composed_correction((PHIM, PSIP), PSIM)
     assert corr.factor_for("b2") is PauliFactor.X
     assert corr.factor_for("b1") is PauliFactor.Z
 
