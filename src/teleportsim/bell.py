@@ -96,10 +96,11 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     if (pa, pb) != state.qubits[-2:]:
         state = reorder(state, (pa, pb) + tuple(q for q in state.qubits if q not in (pa, pb)))
     branches = []
-    for kind in BellState:
-        prob, rem = project_qubits(state, (pa, pb), kind.amplitudes)
+    total = 0.0
+    for kind, row in _AMPLITUDES.items():
+        prob, rem = project_qubits(state, (pa, pb), row)
+        total += prob
         branches.append(OutcomeBranch(BellOutcome(kind, (pa, pb)), prob, rem))
-    total = sum(b.probability for b in branches)
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
     return branches

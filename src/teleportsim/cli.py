@@ -185,7 +185,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
             # One child seed per session: the same seeds as spawn(trials),
             # without holding them all. Memory is O(4^n) plus 8 bytes a trial.
             transcripts = (
-                run_session(xi, cfg.n, trials_ss.spawn(1)[0]) for _ in range(cfg.trials)
+                run_session(xi, trials_ss.spawn(1)[0]) for _ in range(cfg.trials)
             )
             fidelities = np.empty(cfg.trials)
         else:

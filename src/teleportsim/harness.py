@@ -70,20 +70,15 @@ def corrections_from_message(
 
 
 def run_session(
-    xi: StateVector,
-    n: int,
-    seed,
-    resource: BellState = BellState.PSI_MINUS,
+    xi: StateVector, seed, resource: BellState = BellState.PSI_MINUS
 ) -> ProtocolTranscript:
-    """One seeded end-to-end session between the two parties."""
-    if xi.n_qubits != n:
-        raise ValueError(f"input has {xi.n_qubits} qubits, session width is {n}")
-    check_width(n, MAX_PROTOCOL_WIDTH, "session")
+    """One seeded end-to-end session between the two parties, at xi's width."""
+    check_width(xi.n_qubits, MAX_PROTOCOL_WIDTH, "session")
     if seed is None:
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
 
-    xs, ans, bs = protocol_labels(n)
+    xs, ans, bs = protocol_labels(xi.n_qubits)
     sender = Party(Role.SENDER, frozenset(xs) | frozenset(ans))
     receiver = Party(Role.RECEIVER, frozenset(bs))
     [(outcomes, prob, state)] = _walk(

@@ -176,7 +176,7 @@ def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
         raise ValueError(f"{new_order} is not a permutation of {state.qubits}")
     if new_order == state.qubits:
         return state
-    axes = [state.axis(q) for q in new_order]
+    axes = list(map(state.qubits.index, new_order))
     t = state.amps.reshape([2] * state.n_qubits).transpose(axes)
     return _state(new_order, t.reshape(-1))
 
@@ -205,6 +205,7 @@ def project_qubits(
     register with the targets moved to the front, without its wrapper.
     When the targets already lead or trail the register the move is a
     view, so callers projecting one register several times reorder it once.
+    Leading targets are read as that same view directly, with no axis scan.
     """
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
@@ -212,14 +213,18 @@ def project_qubits(
     k = len(targets)
     if np.shape(onto) != (2 ** k,):
         raise ValueError(f"projector has shape {np.shape(onto)}, not ({2 ** k},)")
-    axes = [state.axis(q) for q in targets]
-    rest = [i for i in range(state.n_qubits) if i not in axes]
-    t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
+    if state.qubits[:k] == targets:
+        t = state.amps.reshape(2 ** k, -1)
+        keep = state.qubits[k:]
+    else:
+        axes = [state.axis(q) for q in targets]
+        rest = [i for i in range(state.n_qubits) if i not in axes]
+        t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
+        keep = tuple(state.qubits[i] for i in rest)
     rem = np.dot(np.conj(onto).reshape(1, -1), t)
     prob = float(np.vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None
-    keep = tuple(state.qubits[i] for i in rest)
     return prob, _state(keep, rem.reshape(-1) / math.sqrt(prob))
 
 

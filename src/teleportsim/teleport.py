@@ -320,10 +320,12 @@ def teleport_branches(
 
     Corrections come from `table`, the engine's composed table by default;
     a derived table is exercised by the same machinery. The table must be
-    for the walk's resource.
+    for the input's width and the walk's resource.
     """
     if table is None:
         table = composed_table(xi.n_qubits, resource)
+    if table.n != xi.n_qubits:
+        raise ValueError(f"table is for width {table.n}, the input has width {xi.n_qubits}")
     if table.resource is not resource:
         raise ValueError(f"table is for {table.resource.value}, the walk uses {resource.value}")
     out = []
@@ -373,25 +375,32 @@ def _solve_correction(
     """Find the unique factor string mapping every remainder to its input.
 
     `inputs` and `remainders` are stacked amplitude rows, one per fiducial
-    state, both in (b1..bn) bit order. Every one of the 4^n candidates is
-    applied to every remainder by one gather through the width's cached
-    signed permutations, and scored by its overlap with the input. Exactly
-    one candidate must achieve fidelity 1 on every row.
+    state, both in (b1..bn) bit order. Candidates are applied by gathers
+    through the width's cached signed permutations and scored by their
+    overlap with the input: all 4^n on the first row, then the survivors
+    on every row. A candidate fits only if it reaches fidelity
+    1 - SOLVE_TOL on every row, so the hits are exactly those of scoring
+    all 4^n on all rows, in candidate order. With a basis state first the
+    screen fixes the X part and 2^n survive. Exactly one must fit.
     """
-    candidates, perms, signs = _candidate_gathers(len(targets))
-    applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
+    n = len(targets)
+    candidates, perms, signs = _candidate_gathers(n)
+    screen = np.abs((remainders[0, perms] * signs) @ inputs[0].conj()) ** 2  # (4^n,)
+    live = np.flatnonzero(screen >= 1 - SOLVE_TOL)
+    applied = remainders[:, perms[live]] * signs[live]        # (F, survivors, dim)
     overlap = np.einsum("fi,fci->cf", inputs.conj(), applied)
     fid = np.abs(overlap) ** 2
-    hits = np.flatnonzero(np.all(fid >= 1 - SOLVE_TOL, axis=1))
+    hits = live[np.all(fid >= 1 - SOLVE_TOL, axis=1)]
     if len(hits) == 0:
         raise NoCorrectionError(
-            "no factor string restores the input on this branch; "
-            "the protocol invariant is violated"
+            f"no factor string of width {n} restores the input within "
+            f"SOLVE_TOL={SOLVE_TOL}; the protocol invariant is violated"
         )
     if len(hits) > 1:
         named = [candidates[h] for h in hits]
         raise AmbiguousCorrectionError(
-            f"{len(hits)} factor strings fit ({named}); fiducial set is incomplete"
+            f"{len(hits)} factor strings fit at width {n} within SOLVE_TOL={SOLVE_TOL} "
+            f"({named}); fiducial set is incomplete"
         )
     return candidates[hits[0]]
 
@@ -403,8 +412,8 @@ def derive_corrections(
 
     For every outcome sequence the branch remainders of an informationally
     complete fiducial set are computed, and the unique correction is solved
-    for; ambiguity or absence raises. The finished table is then validated
-    on VALIDATION_STATES random inputs across every branch.
+    for; ambiguity or absence raises, naming the branch. The finished table
+    is then validated on VALIDATION_STATES random inputs across every branch.
     """
     check_width(n, MAX_TABLE_WIDTH, "table derivation")
     xs, _, bs = protocol_labels(n)
@@ -414,7 +423,10 @@ def derive_corrections(
     remainders = np.stack([_receiver_rows(f, resource) for f in fiducials])
     entries = {}
     for i, seq in enumerate(outcome_sequences(n)):
-        combo = _solve_correction(bs, inputs, remainders[:, i])
+        try:
+            combo = _solve_correction(bs, inputs, remainders[:, i])
+        except (NoCorrectionError, AmbiguousCorrectionError) as e:
+            raise type(e)(f"branch {encode(seq)}: {e}") from None
         entries[seq] = PauliString.from_pairs(zip(bs, combo))
     table = CorrectionTable(n, resource, entries)
     _validate_table(table)

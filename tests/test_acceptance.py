@@ -198,7 +198,7 @@ def test_criterion_6_corrections_are_a_pure_function_of_the_message():
     for i in range(sessions):
         n = 1 + i % 3
         xi = inputs[n]
-        t = run_session(xi, n, seed=i)
+        t = run_session(xi, seed=i)
         rebuilt = corrections_from_message(t.message)
         if n not in branch_cache:
             branch_cache[n] = {b.message: b for b in teleport_branches(xi)}

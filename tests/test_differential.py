@@ -1,13 +1,16 @@
-"""Old engine against new engine, bit for bit, and the batched table
-validation against the per-branch loop it replaced.
+"""Old engine against new engine, bit for bit, the batched table
+validation against the per-branch loop it replaced, and the screened
+correction solver against the full candidate scan.
 
 The references below are the earlier engine kept as test-local copies:
 `np.tensordot` projection, four projections per Bell measurement on the
-unreordered register, and validation by `PauliString.apply` and
-`fidelity` one branch at a time.
+unreordered register, validation by `PauliString.apply` and `fidelity`
+one branch at a time, and the solver scoring all 4^n candidates on every
+fiducial row.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import re
@@ -21,6 +24,7 @@ from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import (
     FIDELITY_TOL,
     IMPOSSIBLE_PROB,
+    SOLVE_TOL,
     _state,
     fidelity,
     project_qubits,
@@ -31,6 +35,7 @@ from teleportsim.qstate import (
 from teleportsim.teleport import (
     VALIDATION_SEED,
     VALIDATION_STATES,
+    AmbiguousCorrectionError,
     CorrectionTable,
     NoCorrectionError,
     _validate_table,
@@ -224,3 +229,69 @@ def test_batched_validation_names_the_same_branch(n, resource, phase_only):
     assert got is not None and want is not None
     assert got[0] == want[0] == encode(list(outcome_sequences(n))[rows[0]])
     assert abs(got[1] - want[1]) < 1e-12
+
+
+# --- the correction solver ------------------------------------------------
+
+
+def reference_solve(targets, inputs, remainders):
+    """The full scan: every candidate scored on every fiducial row."""
+    candidates, perms, signs = teleport._candidate_gathers(len(targets))
+    applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
+    fid = np.abs(np.einsum("fi,fci->cf", inputs.conj(), applied)) ** 2
+    hits = np.flatnonzero(np.all(fid >= 1 - SOLVE_TOL, axis=1))
+    if len(hits) == 0:
+        raise NoCorrectionError("no factor string")
+    if len(hits) > 1:
+        raise AmbiguousCorrectionError(f"{len(hits)} factor strings fit")
+    return candidates[hits[0]]
+
+
+def solve_result(solve, targets, inputs, remainders):
+    """The factor tuple, or the class of the solver error raised."""
+    try:
+        return solve(targets, inputs, remainders)
+    except (NoCorrectionError, AmbiguousCorrectionError) as e:
+        return type(e)
+
+
+@functools.lru_cache(maxsize=None)
+def fiducial_remainders(n: int, resource: BellState):
+    """(b1..bn), the fiducial inputs (F, 2^n) and their remainders (F, 4^n, 2^n)."""
+    xs, _, bs = protocol_labels(n)
+    fiducials = teleport._fiducial_states(xs)
+    inputs = np.stack([f.amps for f in fiducials])
+    remainders = np.stack([teleport._receiver_rows(f, resource) for f in fiducials])
+    return bs, inputs, remainders
+
+
+def hadamard(n: int) -> np.ndarray:
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    return functools.reduce(np.kron, [h] * n)
+
+
+def vary(variant: str, n: int, inputs, remainders):
+    """The fiducial data of a variant, and what every branch must then give:
+    a factor tuple or the class of the solver error."""
+    if variant == "hadamard":
+        return NoCorrectionError, inputs, remainders @ hadamard(n).T
+    if variant == "basis-only":
+        # The basis rows fix the X part only; the Z part stays free.
+        return AmbiguousCorrectionError, inputs[: 2 ** n], remainders[: 2 ** n]
+    if variant == "reversed":
+        # |+i>^n is screened first instead of |0...0>.
+        return tuple, inputs[::-1], remainders[::-1]
+    return tuple, inputs, remainders
+
+
+@pytest.mark.parametrize("variant", ["real", "hadamard", "basis-only", "reversed"])
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 4))
+def test_screened_solver_matches_the_full_scan(n, resource, variant):
+    bs, inputs, remainders = fiducial_remainders(n, resource)
+    expected, inputs, remainders = vary(variant, n, inputs, remainders)
+    for i in range(4 ** n):
+        got = solve_result(teleport._solve_correction, bs, inputs, remainders[:, i])
+        want = solve_result(reference_solve, bs, inputs, remainders[:, i])
+        assert got == want
+        assert (got if isinstance(got, type) else type(got)) is expected

@@ -168,7 +168,7 @@ def engine_sampled_run(xi, seed, resource: BellState):
 def transcripts(entry: str, resource: BellState, n: int) -> list:
     xi = input_state(n)
     if entry == "run_session":
-        return [run_session(xi, n, seed, resource) for seed in SEEDS]
+        return [run_session(xi, seed, resource) for seed in SEEDS]
     if entry == "teleport_n":
         return [engine_sampled_run(xi, seed, resource) for seed in SEEDS]
     return teleport_branches(xi, resource)

@@ -24,44 +24,42 @@ def phi():
 
 
 def test_session_is_deterministic(phi):
-    a = run_session(phi, 2, seed=42)
-    b = run_session(phi, 2, seed=42)
+    a = run_session(phi, seed=42)
+    b = run_session(phi, seed=42)
     assert a.to_dict() == b.to_dict()
     assert a.final_fidelity >= 1 - TOL
 
 
 def test_different_seeds_reach_different_outcomes(phi):
-    messages = {run_session(phi, 2, seed=s).message for s in range(12)}
+    messages = {run_session(phi, seed=s).message for s in range(12)}
     assert len(messages) > 1
 
 
 def test_message_carries_two_bits_per_pair(phi):
     for n, xi in ((1, rand_state(np.random.default_rng(1), 1)), (2, phi)):
-        t = run_session(xi, n, seed=7)
+        t = run_session(xi, seed=7)
         assert len(t.message) == 2 * n
         assert tuple(o.state for o in t.outcomes) == decode(t.message)
 
 
 def test_correction_is_pure_function_of_message(phi):
     for seed in range(8):
-        t = run_session(phi, 2, seed=seed)
+        t = run_session(phi, seed=seed)
         assert corrections_from_message(t.message) == t.corrections
 
 
 def test_session_accepts_alternate_resource(phi):
-    t = run_session(phi, 2, seed=5, resource=BellState.PHI_PLUS)
+    t = run_session(phi, seed=5, resource=BellState.PHI_PLUS)
     assert t.final_fidelity >= 1 - TOL
     assert corrections_from_message(t.message, BellState.PHI_PLUS) == t.corrections
 
 
 def test_session_width_checks(phi):
-    with pytest.raises(ValueError, match="session width is 3"):
-        run_session(phi, 3, seed=1)
     with pytest.raises(ValueError, match="seed is required"):
-        run_session(phi, 2, seed=None)
+        run_session(phi, seed=None)
     six = rand_state(np.random.default_rng(0), 6)
     with pytest.raises(ValueError, match="1..5"):
-        run_session(six, 6, seed=1)
+        run_session(six, seed=1)
 
 
 def test_sessions_land_on_enumerated_branches(phi):
@@ -75,7 +73,7 @@ def test_sessions_land_on_enumerated_branches(phi):
         assert t["bell_pairs_consumed"] == 2
     seen = set()
     for seed in range(40):
-        t = run_session(phi, 2, seed)
+        t = run_session(phi, seed)
         assert t.to_dict() == branches[t.message]
         seen.add(t.message)
     assert len(seen) > 8
@@ -112,6 +110,6 @@ def test_message_validation():
 
 def test_session_over_entangled_input():
     ghz = make_state(("x1", "x2", "x3"), [1, 0, 0, 0, 0, 0, 0, 1])
-    t = run_session(ghz, 3, seed=11)
+    t = run_session(ghz, seed=11)
     assert t.final_fidelity >= 1 - TOL
     assert t.single_qubit_ops <= 6

@@ -58,19 +58,19 @@ def test_single_qubit_branches_are_the_published_rows():
 
 
 def test_teleport_one_sampled_is_deterministic():
-    a = run_session(u(), 1, 123)
-    b = run_session(u(), 1, 123)
+    a = run_session(u(), 123)
+    b = run_session(u(), 123)
     assert a.to_dict() == b.to_dict()
     assert a.final_fidelity >= 1 - TOL
 
 
 def test_teleport_one_rejects_wrong_width_and_missing_rng():
     with pytest.raises(ValueError, match="session: n must be 1..5, got 6"):
-        run_session(rand_state(np.random.default_rng(0), 6), 6, 1)
+        run_session(rand_state(np.random.default_rng(0), 6), 1)
     with pytest.raises(ValueError, match="seed is required"):
-        run_session(u(), 1, None)
+        run_session(u(), None)
     with pytest.raises(TypeError):
-        run_session(u(), 1)  # the seed is a required argument
+        run_session(u())  # the seed is a required argument
 
 
 # --- two-pair engine --------------------------------------------------------
@@ -121,7 +121,7 @@ def test_all_psi_minus_needs_no_correction(n):
 
 def test_five_qubit_sampled_run():
     xi = rand_state(np.random.default_rng(55), 5, prefix="x")
-    t = run_session(xi, 5, 9)
+    t = run_session(xi, 9)
     assert t.final_fidelity >= 1 - TOL
     assert t.bell_pairs_consumed == 5
     assert len(t.message) == 10
@@ -130,7 +130,7 @@ def test_five_qubit_sampled_run():
 
 def test_width_limits():
     with pytest.raises(ValueError, match="1..5"):
-        run_session(rand_state(np.random.default_rng(0), 6), 6, 1)
+        run_session(rand_state(np.random.default_rng(0), 6), 1)
     with pytest.raises(ValueError, match="1..4"):
         teleport_branches(rand_state(np.random.default_rng(0), 5))
 
@@ -141,6 +141,13 @@ def test_teleport_branches_rejects_a_table_for_another_resource(n):
     xi = rand_state(np.random.default_rng(n), n)
     with pytest.raises(ValueError, match=r"psi-.*phi\+"):
         teleport_branches(xi, BellState.PHI_PLUS, table=composed_table(n))
+
+
+@pytest.mark.parametrize("table_n, input_n", [(1, 2), (2, 1)])
+def test_teleport_branches_rejects_a_table_of_another_width(table_n, input_n):
+    xi = rand_state(np.random.default_rng(input_n), input_n)
+    with pytest.raises(ValueError, match=f"width {table_n}, the input has width {input_n}"):
+        teleport_branches(xi, table=composed_table(table_n))
 
 
 def test_walk_rejects_an_impossible_branch():
@@ -164,7 +171,7 @@ def test_branches_are_uniform_and_faithful(xi, resource, seed):
     # The paper's contract for every resource kind: a sampled session at
     # every accepted width, and every enumerated branch up to width 3.
     n = xi.n_qubits
-    ts = [run_session(xi, n, seed, resource)]
+    ts = [run_session(xi, seed, resource)]
     if n <= 3:
         ts += teleport_branches(xi, resource)
     for t in ts:
@@ -281,6 +288,34 @@ def test_solver_flags_unrecoverable_remainders():
     remainders = inputs @ h.T
     with pytest.raises(NoCorrectionError, match="no factor string"):
         _solve_correction(("b1",), inputs, remainders)
+
+
+def test_derivation_failure_names_branch_width_and_tolerance(monkeypatch):
+    # Hadamard-rotate the |+> fiducial's remainder on branch 10 (phi-):
+    # X|+> becomes |0>, which no X-part-fixed candidate returns to |+>.
+    h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+    real = teleport._receiver_rows
+
+    def patched(xi, resource):
+        rows = real(xi, resource)
+        if np.allclose(xi.amps, [1 / np.sqrt(2), 1 / np.sqrt(2)]):
+            rows = rows.copy()
+            rows[2] = h @ rows[2]
+        return rows
+
+    monkeypatch.setattr(teleport, "_receiver_rows", patched)
+    named = r"^branch 10: no factor string of width 1 .*SOLVE_TOL=1e-09"
+    with pytest.raises(NoCorrectionError, match=named):
+        derive_corrections(1)
+
+
+def test_derivation_ambiguity_names_the_branch(monkeypatch):
+    # Basis fiducials alone leave the Z part free on every branch.
+    real = teleport._fiducial_states
+    monkeypatch.setattr(teleport, "_fiducial_states", lambda xs: real(xs)[: 2 ** len(xs)])
+    named = r"^branch 00: 2 factor strings fit at width 1 within SOLVE_TOL=1e-09"
+    with pytest.raises(AmbiguousCorrectionError, match=named):
+        derive_corrections(1)
 
 
 # --- correction tables ----------------------------------------------------
