@@ -20,16 +20,23 @@ def main(argv=None) -> int:
     p.add_argument("widths", nargs="*", type=int, default=[1, 2, 3])
     p.add_argument("--all-rows", action="store_true", help="print matching rows too")
     args = p.parse_args(argv)
+    try:
+        return certify(args.widths, args.all_rows)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
+
+def certify(widths: list[int], all_rows: bool) -> int:
     any_disagreement = False
-    for n in args.widths:
+    for n in widths:
         derived = derive_corrections(n)
         against = "fixture" if n in FIXTURE_WIDTHS else "composed rule"
         ref = reference_table(n) if n in FIXTURE_WIDTHS else composed_table(n)
         report = certify_table(derived, ref)
         print(f"width {n} vs {against}: {dict(report.counts)}")
         for row in report.rows:
-            if row.verdict == "match" and not args.all_rows:
+            if row.verdict == "match" and not all_rows:
                 continue
             print(f"  {row.code} [{row.verdict}] oracle: {row.derived:<24} {against}: {row.reference}")
         if not report.all_match:

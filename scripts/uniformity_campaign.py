@@ -18,20 +18,30 @@ def main(argv=None) -> int:
     p.add_argument("--seed0", type=int, default=0)
     p.add_argument("--input", default="random")
     args = p.parse_args(argv)
+    try:
+        return sweep(args)
+    except (ValueError, OSError) as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
 
+
+def sweep(args: argparse.Namespace) -> int:
+    # Every config is checked before the first campaign runs.
+    configs = [
+        CampaignConfig(n=args.n, trials=args.trials, seed=seed, input=args.input)
+        for seed in range(args.seed0, args.seed0 + args.seeds)
+    ]
     print(f"n={args.n} trials={args.trials} input={args.input}")
     print(f"{'seed':>6} {'chi2':>10} {'p':>8} {'min fid':>22}")
     failures = 0
-    for seed in range(args.seed0, args.seed0 + args.seeds):
-        report = run_campaign(
-            CampaignConfig(n=args.n, trials=args.trials, seed=seed, input=args.input)
-        )
+    for cfg in configs:
+        report = run_campaign(cfg)
         flag = ""
         if report.failed:
             failures += 1
             flag = "  FAIL"
         print(
-            f"{seed:>6} {report.chi_square_statistic:>10.3f} "
+            f"{cfg.seed:>6} {report.chi_square_statistic:>10.3f} "
             f"{report.chi_square_p_value:>8.4f} {report.fidelity_min:>22.17f}{flag}"
         )
     if failures:

@@ -1,6 +1,7 @@
 """Bell basis, Bell-pair resources, and projective Bell measurement."""
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -108,9 +109,21 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
 
 def draw_branch(branches: Sequence[OutcomeBranch], rng: np.random.Generator) -> OutcomeBranch:
     """Sample one branch according to its probability, by the inverse-CDF
-    draw Generator.choice makes from one uniform variate."""
+    draw Generator.choice makes from one uniform variate.
+
+    The CDF is the same sequential float sum np.cumsum makes, and the
+    count of normalized steps at or below the variate is the index
+    np.searchsorted(..., side="right") finds, so the draw is bit for bit
+    Generator.choice's without building an array.
+    """
     if rng is None:
         raise ValueError("a seeded random generator is required")
-    cdf = np.cumsum([b.probability for b in branches])
-    return branches[int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))]
+    if not branches:
+        raise ValueError("no branches to draw from")
+    cdf = list(itertools.accumulate(b.probability for b in branches))
+    total = cdf[-1]
+    if not total > 0:
+        raise ValueError(f"branch probabilities total {total}; a draw needs a positive total")
+    u = rng.random()
+    return branches[sum(c / total <= u for c in cdf)]
 

@@ -157,7 +157,9 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         raise ValueError(
             f"combined register of {a.n_qubits + b.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
         )
-    return _state(a.qubits + b.qubits, np.kron(a.amps, b.amps))
+    # The outer product is np.kron's own broadcast multiply for 1-D
+    # inputs, without its wrapper: the same bits.
+    return _state(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps))
 
 
 def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateVector:

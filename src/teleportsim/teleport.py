@@ -88,8 +88,9 @@ class AmbiguousCorrectionError(RuntimeError):
     complete."""
 
 
+@functools.lru_cache(maxsize=MAX_QUBITS)
 def protocol_labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str, ...]]:
-    """Canonical register labels (x1..xn, a1..an, b1..bn)."""
+    """Canonical register labels (x1..xn, a1..an, b1..bn), built once per width."""
     xs = tuple(f"x{i}" for i in range(1, n + 1))
     ans = tuple(f"a{i}" for i in range(1, n + 1))
     bs = tuple(f"b{i}" for i in range(1, n + 1))

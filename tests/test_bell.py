@@ -8,7 +8,9 @@ import pytest
 from hypothesis import given, settings
 
 from teleportsim.bell import (
+    BellOutcome,
     BellState,
+    OutcomeBranch,
     bell_pair,
     decode,
     draw_branch,
@@ -150,3 +152,14 @@ def test_draw_matches_generator_choice():
         for _ in range(2500):
             expected = int(theirs.choice(4, p=p / p.sum()))
             assert draw_branch(branches, ours) is branches[expected]
+
+
+def test_draw_rejects_an_empty_branch_list():
+    with pytest.raises(ValueError, match="no branches to draw from"):
+        draw_branch([], np.random.default_rng(0))
+
+
+def test_draw_rejects_a_zero_probability_total():
+    branches = [OutcomeBranch(BellOutcome(k, ("a", "b")), 0.0, None) for k in BellState]
+    with pytest.raises(ValueError, match="total 0.0; a draw needs a positive total"):
+        draw_branch(branches, np.random.default_rng(0))

@@ -3,6 +3,7 @@ validation against the per-branch loop it replaced, and the screened
 correction solver against the full candidate scan.
 
 The references below are the earlier engine kept as test-local copies:
+`np.kron` tensor products, the `np.cumsum`/`np.searchsorted` branch draw,
 `np.tensordot` projection, four projections per Bell measurement on the
 unreordered register, validation by `PauliString.apply` and `fidelity`
 one branch at a time, and the solver scoring all 4^n candidates on every
@@ -19,7 +20,15 @@ import numpy as np
 import pytest
 
 from teleportsim import teleport
-from teleportsim.bell import BellOutcome, BellState, OutcomeBranch, encode, measure_bell_branches
+from teleportsim.bell import (
+    BellOutcome,
+    BellState,
+    OutcomeBranch,
+    bell_pair,
+    draw_branch,
+    encode,
+    measure_bell_branches,
+)
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import (
     FIDELITY_TOL,
@@ -27,9 +36,11 @@ from teleportsim.qstate import (
     SOLVE_TOL,
     _state,
     fidelity,
+    make_state,
     project_qubits,
     random_state,
     reorder,
+    tensor,
     with_labels,
 )
 from teleportsim.teleport import (
@@ -47,6 +58,75 @@ from teleportsim.teleport import (
 )
 
 from conftest import rand_state
+
+
+def same_bits(x, y) -> bool:
+    """Equal complex arrays bit for bit, signed zeros included."""
+    return x.shape == y.shape and np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+
+# --- tensor products and the branch draw -----------------------------------
+
+
+def tensor_cases():
+    """Random states beside every Bell row in both orders, beside each
+    other, and one 13-qubit register beside a pair."""
+    rng = np.random.default_rng(2024)
+    for n in range(1, 7):
+        s = rand_state(rng, n)
+        for kind in BellState:
+            pair = bell_pair(kind, "a", "b")
+            yield s, pair
+            yield pair, s
+        yield s, rand_state(rng, 7 - n, prefix="r")
+    yield rand_state(rng, 13), bell_pair(BellState.PHI_PLUS, "a", "b")
+
+
+def test_tensor_matches_kron_bit_for_bit():
+    cases = list(tensor_cases())
+    assert len(cases) == 6 * 9 + 1
+    for a, b in cases:
+        got = tensor(a, b)
+        assert got.qubits == a.qubits + b.qubits
+        assert same_bits(got.amps, np.kron(a.amps, b.amps)), (a.qubits, b.qubits)
+
+
+def reference_draw(branches, rng):
+    cdf = np.cumsum([b.probability for b in branches])
+    return branches[int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))]
+
+
+class Variates:
+    """A stub generator whose random() returns chosen variates in turn."""
+
+    def __init__(self, values):
+        self.values = iter(values)
+
+    def random(self):
+        return next(self.values)
+
+
+@pytest.mark.parametrize(
+    "amps",
+    [[1, 1, 0, 0], [1, 0, 0, 0], np.arange(1, 9), [3, 1j, -2, 0.5, 0, 1e-3, 2, 1 + 1j]],
+    ids=["uniform", "two-zero", "skewed", "complex"],
+)
+def test_draw_matches_cumsum_searchsorted(amps):
+    qubits = ("a", "b", "c")[: int(math.log2(len(amps)))]
+    branches = measure_bell_branches(make_state(qubits, amps), ("a", "b"))
+    cdf = np.cumsum([b.probability for b in branches])
+    norm = cdf / cdf[-1]
+    steps = [float(x) for x in norm if x < 1.0]
+    variates = [0.0, *steps, *(math.nextafter(x, 1.0) for x in steps),
+                *(math.nextafter(x, 0.0) for x in steps), math.nextafter(1.0, 0.0)]
+    ours, theirs = Variates(variates), Variates(variates)
+    for u in variates:
+        assert draw_branch(branches, ours) is reference_draw(branches, theirs), u
+    for step in steps:
+        # A variate exactly on a step goes to the first branch past it.
+        drawn = draw_branch(branches, Variates([step]))
+        assert branches.index(drawn) == np.flatnonzero(norm > step)[0]
+        assert drawn.probability > 0
 
 
 def reference_project(state, targets, onto):
