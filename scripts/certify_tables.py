@@ -11,6 +11,7 @@ import argparse
 import sys
 
 from teleportsim import certify_table, composed_table, derive_corrections, reference_table
+from teleportsim.teleport import MAX_TABLE_WIDTH, check_width
 
 FIXTURE_WIDTHS = (1, 2)
 
@@ -28,6 +29,9 @@ def main(argv=None) -> int:
 
 
 def certify(widths: list[int], all_rows: bool) -> int:
+    # Every width is checked before the first table is derived and printed.
+    for n in widths:
+        check_width(n, MAX_TABLE_WIDTH, "table derivation")
     any_disagreement = False
     for n in widths:
         derived = derive_corrections(n)

@@ -8,6 +8,7 @@ import argparse
 import sys
 
 from teleportsim import CampaignConfig, run_campaign
+from teleportsim.cli import resolve_input
 
 
 def main(argv=None) -> int:
@@ -26,11 +27,13 @@ def main(argv=None) -> int:
 
 
 def sweep(args: argparse.Namespace) -> int:
-    # Every config is checked before the first campaign runs.
+    # Every config, and a non-random input, is checked before the header.
     configs = [
         CampaignConfig(n=args.n, trials=args.trials, seed=seed, input=args.input)
         for seed in range(args.seed0, args.seed0 + args.seeds)
     ]
+    if configs and args.input != "random":
+        resolve_input(configs[0], None)
     print(f"n={args.n} trials={args.trials} input={args.input}")
     print(f"{'seed':>6} {'chi2':>10} {'p':>8} {'min fid':>22}")
     failures = 0

@@ -60,19 +60,11 @@ def decode(code: str) -> tuple[BellState, ...]:
 
 
 @dataclass(frozen=True)
-class BellOutcome:
-    """One Bell measurement result on an ordered qubit pair."""
-
-    state: BellState
-    pair: tuple[str, str]
-
-
-@dataclass(frozen=True)
 class OutcomeBranch:
-    """One branch of an exhaustive Bell measurement; the remainder is None
-    when the branch is impossible."""
+    """One branch of an exhaustive Bell measurement on a pair the caller
+    named; the remainder is None when the branch is impossible."""
 
-    outcome: BellOutcome
+    outcome: BellState
     probability: float
     remainder: StateVector | None
 
@@ -101,7 +93,7 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     for kind, row in _AMPLITUDES.items():
         prob, rem = project_qubits(state, (pa, pb), row)
         total += prob
-        branches.append(OutcomeBranch(BellOutcome(kind, (pa, pb)), prob, rem))
+        branches.append(OutcomeBranch(kind, prob, rem))
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
     return branches

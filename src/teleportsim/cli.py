@@ -68,6 +68,8 @@ class CampaignConfig:
         check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

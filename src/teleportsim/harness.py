@@ -86,7 +86,7 @@ def run_session(
     )
 
     # The sender's register is fully consumed; only these bits cross over.
-    message = encode(o.state for o in outcomes)
+    message = encode(outcomes)
     correction = corrections_from_message(message, resource)
     corrected = receiver.apply_correction(state, correction)
     return _finish(xi, outcomes, prob, corrected, resource, correction, message)

@@ -25,7 +25,6 @@ from .qstate import (
     ZX_GATE,
     StateVector,
     _state,
-    make_state,
 )
 
 
@@ -128,17 +127,20 @@ class PauliString:
                 return f
         return PauliFactor.I
 
+    def gather(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The string's one array form on the qubit order (first = MSB), the
+        phase folded into the signs: (P a)[i] == signs[i] * a[perm[i]]."""
+        by_qubit = dict(self.factors)
+        # A factor outside the register must raise, not vanish from the gather.
+        for q in by_qubit:
+            if q not in order:
+                raise ValueError(f"unknown qubit {q!r}; register is {tuple(order)}")
+        perm, sign = signed_permutation(tuple(by_qubit.get(q, PauliFactor.I) for q in order))
+        return perm, sign * self.phase
+
     def apply(self, state: StateVector) -> StateVector:
-        # Resolve every factor's qubit first: one outside the register must
-        # raise, not vanish from the gather.
-        by_axis = {state.axis(q): f for q, f in self.factors}
-        perm, sign = signed_permutation(
-            tuple(by_axis.get(i, PauliFactor.I) for i in range(state.n_qubits))
-        )
-        out = _state(state.qubits, state.amps[perm] * sign)
-        if self.phase != 1:
-            out = make_state(out.qubits, out.amps * self.phase)
-        return out
+        perm, signs = self.gather(state.qubits)
+        return _state(state.qubits, state.amps[perm] * signs)
 
     def matrix(self, qubit_order: Sequence[str]) -> np.ndarray:
         """Full operator on the given qubit ordering (first qubit = MSB)."""

@@ -25,7 +25,6 @@ from typing import Callable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .bell import (
-    BellOutcome,
     BellState,
     OutcomeBranch,
     bell_pair,
@@ -160,7 +159,7 @@ class ProtocolTranscript:
 
     n: int
     resource: BellState
-    outcomes: tuple[BellOutcome, ...]
+    outcomes: tuple[BellState, ...]
     message: str
     corrections: PauliString
     bell_pairs_consumed: int
@@ -170,12 +169,14 @@ class ProtocolTranscript:
     branch_probability: float
 
     def to_dict(self) -> dict:
+        # The j-th outcome is on (x_{n+1-j}, a_{n+1-j}): the protocol fixes each pair.
+        xs, ans, _ = protocol_labels(self.n)
         return {
             "n": self.n,
             "resource": self.resource.value,
             "outcomes": [
-                {"state": o.state.value, "pair": list(o.pair), "bits": o.state.bits}
-                for o in self.outcomes
+                {"state": k.value, "pair": [x, a], "bits": k.bits}
+                for k, x, a in zip(self.outcomes, reversed(xs), reversed(ans))
             ],
             "message": self.message,
             "corrections": self.corrections.tokens(),
@@ -233,7 +234,7 @@ def _walk(
     xi: StateVector,
     resource: BellState,
     follow: Callable[[StateVector, tuple[str, str]], Sequence[OutcomeBranch]],
-) -> list[tuple[tuple[BellOutcome, ...], float, StateVector]]:
+) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """The protocol, once: n pairs beside the input, then (x_i, a_i)
     Bell-measured from pair n down, one level at a time.
 
@@ -250,13 +251,14 @@ def _walk(
         joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
     level = [((), 1.0, joint)]
     for i in range(n - 1, -1, -1):
+        pair = (xs[i], ans[i])
         deeper = []
         for outcomes, prob, state in level:
-            for b in follow(state, (xs[i], ans[i])):
+            for b in follow(state, pair):
                 if b.remainder is None:
                     # Bell-resource branches are exactly uniform; hitting this
                     # would falsify the protocol, not the input.
-                    raise RuntimeError(f"impossible branch {b.outcome} in the protocol walk")
+                    raise RuntimeError(f"impossible branch {b.outcome.value} on {pair} in the walk")
                 deeper.append((outcomes + (b.outcome,), prob * b.probability, b.remainder))
         level = deeper
     return level
@@ -264,7 +266,7 @@ def _walk(
 
 def enumerate_protocol_branches(
     xi: StateVector, resource: BellState = BellState.PSI_MINUS
-) -> list[tuple[tuple[BellOutcome, ...], float, StateVector]]:
+) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
     check_width(xi.n_qubits, MAX_TABLE_WIDTH, "branch enumeration")
     return _walk(xi, resource, measure_bell_branches)
@@ -284,7 +286,7 @@ def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:
 
 def _finish(
     xi: StateVector,
-    outcomes: tuple[BellOutcome, ...],
+    outcomes: tuple[BellState, ...],
     prob: float,
     corrected: StateVector,
     resource: BellState,
@@ -295,8 +297,7 @@ def _finish(
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
     final = reorder(corrected, bs)
-    target = with_labels(xi, bs)
-    overlap = complex(np.vdot(target.amps, final.amps))
+    overlap = complex(np.vdot(xi.amps, final.amps))
     residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
     return ProtocolTranscript(
         n=n,
@@ -331,9 +332,8 @@ def teleport_branches(
         raise ValueError(f"table is for {table.resource.value}, the walk uses {resource.value}")
     out = []
     for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
-        kinds = tuple(o.state for o in outcomes)
-        corr = table.entry(kinds)
-        out.append(_finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(kinds)))
+        corr = table.entry(outcomes)
+        out.append(_finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(outcomes)))
     return out
 
 
@@ -438,7 +438,7 @@ def _validate_table(table: CorrectionTable) -> None:
     """Check the table on VALIDATION_STATES random inputs, every branch of
     walks over the table's own resource.
 
-    Each entry is one signed permutation on (b1..bn) with its phase folded
+    Each entry is its PauliString.gather form on (b1..bn), phase folded
     into the signs, so a walk's receivers are corrected by one gather and
     scored by one contraction with the input. Walks are scored one at a
     time; the first failing branch in canonical order is named.
@@ -446,10 +446,8 @@ def _validate_table(table: CorrectionTable) -> None:
     rng = np.random.default_rng(VALIDATION_SEED)
     xs, _, bs = protocol_labels(table.n)
     seqs = list(outcome_sequences(table.n))
-    corrections = [table.entry(seq) for seq in seqs]
-    forms = [signed_permutation(tuple(c.factor_for(b) for b in bs)) for c in corrections]
-    perms = np.stack([perm for perm, _ in forms])
-    signs = np.stack([sign * c.phase for (_, sign), c in zip(forms, corrections)])
+    # Stacked in one statement, so the per-entry forms are not held through the walks.
+    perms, signs = map(np.stack, zip(*[table.entry(seq).gather(bs) for seq in seqs]))
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
         corrected = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs

@@ -49,7 +49,7 @@ def test_criterion_1_single_qubit_table_reproduction():
     # Pre-correction branch phases must reproduce the fixture's output signs.
     branches = teleport_branches(make_state(("x1",), [0.6, 0.8]))
     signs_ok = all(
-        abs(t.residual_phase - SINGLE_QUBIT_OUTPUT_SIGNS[(t.outcomes[0].state,)]) <= TOL
+        abs(t.residual_phase - SINGLE_QUBIT_OUTPUT_SIGNS[(t.outcomes[0],)]) <= TOL
         for t in branches
     )
     order = [t.corrections.tokens() for t in branches]

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from teleportsim.bell import (
-    BellOutcome,
     BellState,
     OutcomeBranch,
     bell_pair,
@@ -77,7 +76,7 @@ def test_branches_of_zero_zero():
 
 def test_branches_come_in_canonical_order():
     s = computational_basis_state(("a", "b"), "00")
-    kinds = [b.outcome.state for b in measure_bell_branches(s, ("a", "b"))]
+    kinds = [b.outcome for b in measure_bell_branches(s, ("a", "b"))]
     assert kinds == list(BellState)
 
 
@@ -100,9 +99,9 @@ def test_branch_probabilities_sum_to_one(s):
 def test_sampling_is_deterministic():
     s = make_state(("a", "b"), [1, 1, 1, 1])
     draws1 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
-              .outcome.state for k in range(20)]
+              .outcome for k in range(20)]
     draws2 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
-              .outcome.state for k in range(20)]
+              .outcome for k in range(20)]
     assert draws1 == draws2
     assert len(set(draws1)) > 1
 
@@ -117,8 +116,8 @@ def test_sample_matches_enumerated_branch():
     s = make_state(("a", "b", "c"), np.arange(1, 9))
     drawn = draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(7))
     assert drawn.remainder is not None  # zero-probability branches are never drawn
-    branches = {b.outcome.state: b for b in measure_bell_branches(s, ("a", "b"))}
-    expected = branches[drawn.outcome.state].remainder
+    branches = {b.outcome: b for b in measure_bell_branches(s, ("a", "b"))}
+    expected = branches[drawn.outcome].remainder
     assert np.allclose(drawn.remainder.amps, expected.amps, atol=TOL)
 
 
@@ -134,7 +133,7 @@ def test_sampled_frequencies_follow_born_rule():
     n = 2000
     for _ in range(n):
         branch = draw_branch(measure_bell_branches(s, ("a", "b")), rng)
-        counts[branch.outcome.state] += 1
+        counts[branch.outcome] += 1
     for kind, c in counts.items():
         assert abs(c / n - 0.25) < 0.05, (kind, c)
 
@@ -160,6 +159,6 @@ def test_draw_rejects_an_empty_branch_list():
 
 
 def test_draw_rejects_a_zero_probability_total():
-    branches = [OutcomeBranch(BellOutcome(k, ("a", "b")), 0.0, None) for k in BellState]
+    branches = [OutcomeBranch(k, 0.0, None) for k in BellState]
     with pytest.raises(ValueError, match="total 0.0; a draw needs a positive total"):
         draw_branch(branches, np.random.default_rng(0))

@@ -80,6 +80,8 @@ def test_config_validation():
         CampaignConfig(n=6)
     with pytest.raises(ValueError, match="trials must be"):
         CampaignConfig(trials=0)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        CampaignConfig(seed=-1)
 
 
 def test_fixture_states():
@@ -256,6 +258,13 @@ def test_main_prints_to_stdout(capsys):
 def test_main_strict_certify_flags_reference_disagreement():
     assert main(["--n", "2", "--mode", "certify", "--strict", "--out", "/dev/null"]) == 1
     assert main(["--n", "2", "--mode", "certify", "--out", "/dev/null"]) == 0
+
+
+def test_main_rejects_a_negative_seed_by_name(capsys):
+    assert main(["--seed", "-1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: seed must be >= 0, got -1\n"
 
 
 def test_main_reports_usage_errors(capsys, tmp_path):

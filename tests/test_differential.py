@@ -21,7 +21,6 @@ import pytest
 
 from teleportsim import teleport
 from teleportsim.bell import (
-    BellOutcome,
     BellState,
     OutcomeBranch,
     bell_pair,
@@ -144,7 +143,7 @@ def reference_project(state, targets, onto):
 def reference_measure(state, pair):
     pa, pb = pair
     return [
-        OutcomeBranch(BellOutcome(kind, (pa, pb)), *reference_project(state, (pa, pb), kind.amplitudes))
+        OutcomeBranch(kind, *reference_project(state, (pa, pb), kind.amplitudes))
         for kind in BellState
     ]
 
@@ -235,7 +234,7 @@ def test_receiver_rows_are_the_walk_in_canonical_order():
     rows = teleport._receiver_rows(xi, BellState.PHI_PLUS)
     branches = enumerate_protocol_branches(xi, BellState.PHI_PLUS)
     assert rows.shape == (4 ** n, 2 ** n)
-    assert [tuple(o.state for o in outs) for outs, _, _ in branches] == list(outcome_sequences(n))
+    assert [outs for outs, _, _ in branches] == list(outcome_sequences(n))
     for row, (_, _, receiver) in zip(rows, branches):
         assert np.array_equal(row, reorder(receiver, bs).amps)
 
@@ -251,10 +250,9 @@ def scalar_validation(table: CorrectionTable, resource: BellState):
         xi = random_state(xs, rng)
         target = with_labels(xi, bs)
         for outcomes, _, receiver in enumerate_protocol_branches(xi, resource):
-            kinds = tuple(o.state for o in outcomes)
-            f = fidelity(target, table.entry(kinds).apply(receiver))
+            f = fidelity(target, table.entry(outcomes).apply(receiver))
             if f < 1 - FIDELITY_TOL:
-                return encode(kinds), f
+                return encode(outcomes), f
     return None
 
 

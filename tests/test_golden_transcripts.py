@@ -160,9 +160,8 @@ def engine_sampled_run(xi, seed, resource: BellState):
     [(outcomes, prob, receiver)] = _walk(
         xi, resource, lambda state, pair: [draw_branch(measure_bell_branches(state, pair), rng)]
     )
-    kinds = [o.state for o in outcomes]
-    corr = composed_correction(kinds, resource)
-    return _finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(kinds))
+    corr = composed_correction(outcomes, resource)
+    return _finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(outcomes))
 
 
 def transcripts(entry: str, resource: BellState, n: int) -> list:

@@ -39,7 +39,7 @@ def test_message_carries_two_bits_per_pair(phi):
     for n, xi in ((1, rand_state(np.random.default_rng(1), 1)), (2, phi)):
         t = run_session(xi, seed=7)
         assert len(t.message) == 2 * n
-        assert tuple(o.state for o in t.outcomes) == decode(t.message)
+        assert t.outcomes == decode(t.message)
 
 
 def test_correction_is_pure_function_of_message(phi):

@@ -15,9 +15,16 @@ from teleportsim.pauli import (
     parse_pauli_tokens,
     signed_permutation,
 )
-from teleportsim.qstate import computational_basis_state
+from teleportsim.qstate import computational_basis_state, reorder
+from teleportsim.teleport import (
+    _receiver_rows,
+    enumerate_protocol_branches,
+    outcome_sequences,
+    protocol_labels,
+    reference_table,
+)
 
-from conftest import TOL, labels, state_vectors
+from conftest import TOL, labels, rand_state, state_vectors
 
 
 def test_op_counts():
@@ -89,6 +96,35 @@ def test_apply_rejects_a_factor_outside_the_register():
     ):
         with pytest.raises(ValueError, match="unknown qubit 'b3'"):
             p.apply(state)
+
+
+@pytest.mark.parametrize("phase", [-1, 1j, -1j], ids=["-1", "+i", "-i"])
+def test_a_unit_phase_is_applied_exactly(phase):
+    # The phase rides in the gather's signs, so it is exact: no renormalization
+    # moves the last bits of a phased correction.
+    rng = np.random.default_rng(17)
+    for _ in range(100):
+        state = rand_state(rng, 3, prefix="b")
+        pairs = list(zip(state.qubits, rng.choice(list(PauliFactor), size=3)))
+        phased = PauliString.from_pairs(pairs, phase).apply(state)
+        plain = PauliString.from_pairs(pairs).apply(state)
+        assert np.array_equal(phased.amps.view(np.uint64), (phase * plain.amps).view(np.uint64))
+
+
+def test_stacked_gathers_equal_each_entry_applied():
+    # _validate_table's form: every entry's gather on (b1..bn), stacked and
+    # taken along one walk's receiver rows, bit for bit what apply gives.
+    table = reference_table(2)
+    xs, _, bs = protocol_labels(2)
+    xi = rand_state(np.random.default_rng(3), 2, prefix="x")
+    forms = [table.entry(seq).gather(bs) for seq in outcome_sequences(2)]
+    perms = np.stack([perm for perm, _ in forms])
+    signs = np.stack([sign for _, sign in forms])
+    stacked = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs
+    assert any(table.entry(seq).phase != 1 for seq in table.entries)
+    for row, (outcomes, _, receiver) in zip(stacked, enumerate_protocol_branches(xi)):
+        applied = reorder(table.entry(outcomes).apply(receiver), bs).amps
+        assert np.array_equal(row.view(np.uint64), applied.view(np.uint64)), outcomes
 
 
 def test_matrix_respects_qubit_order():

@@ -22,6 +22,8 @@ def load(name: str):
         ("uniformity_campaign", ["--n", "6"], "sample mode: n must be 1..5, got 6"),
         ("uniformity_campaign", ["--trials", "0"], "trials must be >= 1, got 0"),
         ("certify_tables", ["5"], "table derivation: n must be 1..4, got 5"),
+        ("certify_tables", ["1", "5"], "table derivation: n must be 1..4, got 5"),
+        ("uniformity_campaign", ["--seed0", "-1"], "seed must be >= 0, got -1"),
     ],
 )
 def test_malformed_input_exits_2_with_a_message(name, argv, message, capsys):
@@ -34,7 +36,8 @@ def test_malformed_input_exits_2_with_a_message(name, argv, message, capsys):
 def test_missing_input_file_exits_2_with_a_message(capsys, tmp_path):
     missing = tmp_path / "missing.txt"
     assert load("uniformity_campaign").main(["--input", str(missing)]) == 2
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ") and str(missing) in err
 
 
