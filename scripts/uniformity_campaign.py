@@ -28,11 +28,14 @@ def main(argv=None) -> int:
 
 def sweep(args: argparse.Namespace) -> int:
     # Every config, and a non-random input, is checked before the header.
+    # An empty sweep checks nothing, so it must not read as a pass.
+    if args.seeds < 1:
+        raise ValueError(f"seeds must be >= 1, got {args.seeds}")
     configs = [
         CampaignConfig(n=args.n, trials=args.trials, seed=seed, input=args.input)
         for seed in range(args.seed0, args.seed0 + args.seeds)
     ]
-    if configs and args.input != "random":
+    if args.input != "random":
         resolve_input(configs[0], None)
     print(f"n={args.n} trials={args.trials} input={args.input}")
     print(f"{'seed':>6} {'chi2':>10} {'p':>8} {'min fid':>22}")

@@ -84,9 +84,9 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     once, so the four projections share one transposed copy.
     """
     pa, pb = pair
-    # A trailing pair needs no copy: project_qubits contracts it in place,
-    # as a strided view, and a copy would change the last bits of the sums.
-    if (pa, pb) != state.qubits[-2:]:
+    # A leading or trailing pair needs no copy: project_qubits contracts it
+    # in place, and a copy of a trailing one would change the last bits.
+    if (pa, pb) not in (state.qubits[:2], state.qubits[-2:]):
         state = reorder(state, (pa, pb) + tuple(q for q in state.qubits if q not in (pa, pb)))
     branches = []
     total = 0.0

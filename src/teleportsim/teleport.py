@@ -230,13 +230,34 @@ def reference_table(n: int) -> CorrectionTable:
     return CorrectionTable(n, BellState.PSI_MINUS, entries)
 
 
+@functools.lru_cache(maxsize=1)
+def _joint(xi: StateVector, resource: BellState) -> StateVector:
+    """The 3n-qubit register every walk on `xi` starts from: the input on
+    x1..xn, then the pairs (a_n, b_n) down to (a1, b1), with (x_n, a_n)
+    moved to the front.
+
+    The pairs never depend on the input, so a campaign's sessions share
+    one register, built on the first walk. The key is the input object
+    itself (StateVector compares by identity), and the cached amplitudes
+    are read-only. The order is the one measure_bell_branches builds for
+    the first pair, so that measurement reads a view, with the same bits.
+    """
+    n = xi.n_qubits
+    xs, ans, bs = protocol_labels(n)
+    joint = with_labels(xi, xs)
+    for i in range(n, 0, -1):
+        joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
+    first = (xs[-1], ans[-1])
+    return reorder(joint, first + tuple(q for q in joint.qubits if q not in first))
+
+
 def _walk(
     xi: StateVector,
     resource: BellState,
     follow: Callable[[StateVector, tuple[str, str]], Sequence[OutcomeBranch]],
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
-    """The protocol, once: n pairs beside the input, then (x_i, a_i)
-    Bell-measured from pair n down, one level at a time.
+    """The protocol, once: from the input beside its n pairs (_joint),
+    (x_i, a_i) Bell-measured from pair n down, one level at a time.
 
     `follow(state, pair)` measures one pair and returns the branches to go
     on with: one drawn branch for a sampled run, all four for enumeration.
@@ -245,11 +266,8 @@ def _walk(
     outcome is the most significant: the order of outcome_sequences.
     """
     n = xi.n_qubits
-    xs, ans, bs = protocol_labels(n)
-    joint = with_labels(xi, xs)
-    for i in range(n, 0, -1):
-        joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
-    level = [((), 1.0, joint)]
+    xs, ans, _ = protocol_labels(n)
+    level = [((), 1.0, _joint(xi, resource))]
     for i in range(n - 1, -1, -1):
         pair = (xs[i], ans[i])
         deeper = []

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from teleportsim import bell
 from teleportsim.bell import (
     BellState,
     OutcomeBranch,
@@ -18,7 +19,7 @@ from teleportsim.bell import (
 )
 from teleportsim.qstate import computational_basis_state, fidelity, make_state, tensor
 
-from conftest import TOL, state_vectors
+from conftest import TOL, rand_state, state_vectors
 
 S = 1 / math.sqrt(2)
 
@@ -87,6 +88,23 @@ def test_branch_remainder_excludes_measured_pair():
     for b in branches:
         assert b.remainder.qubits == ("b",)
         assert b.probability == pytest.approx(0.25, abs=TOL)
+
+
+def test_a_pair_at_either_end_is_measured_in_place(monkeypatch):
+    # The walk's first pair leads its register; no reorder is needed there.
+    s = rand_state(np.random.default_rng(11), 4)
+    want = {pair: measure_bell_branches(s, pair) for pair in (s.qubits[:2], s.qubits[2:])}
+
+    def forbidden(*args):
+        raise AssertionError("reordered a register whose pair is already at one end")
+
+    monkeypatch.setattr(bell, "reorder", forbidden)
+    for pair, branches in want.items():
+        got = measure_bell_branches(s, pair)
+        assert [b.probability for b in got] == [b.probability for b in branches]
+        for g, w in zip(got, branches):
+            assert g.remainder.qubits == w.remainder.qubits
+            assert np.array_equal(g.remainder.amps, w.remainder.amps)
 
 
 @settings(max_examples=50, deadline=None)

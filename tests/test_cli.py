@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from teleportsim import cli
+from teleportsim import cli, teleport
 from teleportsim.cli import (
     FIDELITY_EXIT_THRESHOLD,
     CampaignConfig,
@@ -19,6 +19,7 @@ from teleportsim.cli import (
     main,
     resolve_input,
 )
+from teleportsim.bell import BellState
 from teleportsim.qstate import StateFormatError, format_state_literal
 from teleportsim.teleport import derive_corrections
 
@@ -189,6 +190,31 @@ def test_sample_memory_does_not_grow_with_trials():
     run_campaign(CampaignConfig(n=1, trials=50, seed=4))  # warm every cache first
     small, large = peak(500), peak(4000)
     assert large - small < 0.5 * 2 ** 20, (small, large)
+
+
+def test_sample_campaign_builds_its_register_once(monkeypatch):
+    # n tensor products build the register; a campaign does that once, not per trial.
+    real_tensor, real_resolve = teleport.tensor, cli.resolve_input
+    calls, inputs = [], []
+
+    def counting_tensor(a, b):
+        calls.append((a.qubits, b.qubits))
+        return real_tensor(a, b)
+
+    def capturing_resolve(cfg, rng):
+        inputs.append(real_resolve(cfg, rng))
+        return inputs[-1]
+
+    monkeypatch.setattr(teleport, "tensor", counting_tensor)
+    monkeypatch.setattr(cli, "resolve_input", capturing_resolve)
+    report = run_campaign(CampaignConfig(n=3, trials=50, seed=8))
+    assert sum(report.outcome_histogram.values()) == 50
+    assert len(calls) == 3
+    # The campaign's input hits the cache: no new products, a read-only register.
+    joint = teleport._joint(inputs[0], BellState.PSI_MINUS)
+    assert len(calls) == 3
+    assert joint.n_qubits == 9 and joint.qubits[:2] == ("x3", "a3")
+    assert joint.amps.flags.writeable is False
 
 
 def test_derive_table_campaign():

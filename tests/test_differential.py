@@ -6,8 +6,8 @@ The references below are the earlier engine kept as test-local copies:
 `np.kron` tensor products, the `np.cumsum`/`np.searchsorted` branch draw,
 `np.tensordot` projection, four projections per Bell measurement on the
 unreordered register, validation by `PauliString.apply` and `fidelity`
-one branch at a time, and the solver scoring all 4^n candidates on every
-fiducial row.
+one branch at a time, the solver scoring all 4^n candidates on every
+fiducial row, and the walk building its 3n-qubit register on every call.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import re
 import numpy as np
 import pytest
 
-from teleportsim import teleport
+from teleportsim import harness, teleport
 from teleportsim.bell import (
     BellState,
     OutcomeBranch,
@@ -49,11 +49,11 @@ from teleportsim.teleport import (
     CorrectionTable,
     NoCorrectionError,
     _validate_table,
-    _walk,
     composed_table,
     enumerate_protocol_branches,
     outcome_sequences,
     protocol_labels,
+    teleport_branches,
 )
 
 from conftest import rand_state
@@ -148,6 +148,27 @@ def reference_measure(state, pair):
     ]
 
 
+def reference_walk(xi, resource, follow):
+    """The walk building its register on every call: the input relabeled,
+    the n pairs tensored beside it, and the first pair left in place."""
+    n = xi.n_qubits
+    xs, ans, bs = protocol_labels(n)
+    joint = with_labels(xi, xs)
+    for i in range(n, 0, -1):
+        joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
+    level = [((), 1.0, joint)]
+    for i in range(n - 1, -1, -1):
+        pair = (xs[i], ans[i])
+        deeper = []
+        for outcomes, prob, state in level:
+            for b in follow(state, pair):
+                if b.remainder is None:
+                    raise RuntimeError(f"impossible branch {b.outcome.value} on {pair} in the walk")
+                deeper.append((outcomes + (b.outcome,), prob * b.probability, b.remainder))
+        level = deeper
+    return level
+
+
 def assert_same(got, want):
     """Equal probabilities and labels, amplitudes equal bit for bit."""
     (p1, r1), (p2, r2) = got, want
@@ -220,7 +241,7 @@ def test_enumeration_matches_reference_engine(n, resource):
     xs, _, _ = protocol_labels(n)
     xi = random_state(xs, np.random.default_rng(3000 + n))
     got = enumerate_protocol_branches(xi, resource)
-    want = list(_walk(xi, resource, reference_measure))
+    want = reference_walk(xi, resource, reference_measure)
     assert len(got) == len(want) == 4 ** n
     for (o1, p1, r1), (o2, p2, r2) in zip(got, want):
         assert o1 == o2
@@ -373,3 +394,80 @@ def test_screened_solver_matches_the_full_scan(n, resource, variant):
         want = solve_result(reference_solve, bs, inputs, remainders[:, i])
         assert got == want
         assert (got if isinstance(got, type) else type(got)) is expected
+
+
+# --- the cached joint register ----------------------------------------------
+
+
+def transcript_bits(t):
+    """A transcript's outcomes, message and correction, and its
+    probability, fidelity and residual phase as exact hex floats."""
+    return (
+        t.outcomes,
+        t.message,
+        t.corrections.tokens(),
+        t.branch_probability.hex(),
+        t.final_fidelity.hex(),
+        t.residual_phase.real.hex(),
+        t.residual_phase.imag.hex(),
+    )
+
+
+def reference_session(monkeypatch, xi, seed, resource):
+    with monkeypatch.context() as m:
+        m.setattr(harness, "_walk", reference_walk)
+        return harness.run_session(xi, seed, resource)
+
+
+def reference_branches(monkeypatch, xi, resource):
+    with monkeypatch.context() as m:
+        m.setattr(teleport, "_walk", reference_walk)
+        return teleport_branches(xi, resource)
+
+
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_sessions_match_the_uncached_walk(n, resource, monkeypatch):
+    xs, _, _ = protocol_labels(n)
+    xi = random_state(xs, np.random.default_rng(5000 + n))
+    for seed in range(12):
+        got = harness.run_session(xi, seed, resource)
+        want = reference_session(monkeypatch, xi, seed, resource)
+        assert transcript_bits(got) == transcript_bits(want)
+
+
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_branches_match_the_uncached_walk(n, resource, monkeypatch):
+    xs, _, _ = protocol_labels(n)
+    xi = random_state(xs, np.random.default_rng(6000 + n))
+    got = teleport_branches(xi, resource)
+    want = reference_branches(monkeypatch, xi, resource)
+    assert list(map(transcript_bits, got)) == list(map(transcript_bits, want))
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_interleaved_inputs_and_resources_never_share_a_register(n, monkeypatch):
+    # a and twin have equal amplitudes but are distinct objects; other differs.
+    xs, _, _ = protocol_labels(n)
+    a = random_state(xs, np.random.default_rng(7000 + n))
+    twin = _state(xs, a.amps.copy())
+    other = random_state(xs, np.random.default_rng(8000 + n))
+    assert twin is not a and np.array_equal(twin.amps, a.amps)
+    order = [
+        (xi, resource)
+        for resource in (BellState.PSI_MINUS, BellState.PHI_PLUS, BellState.PSI_MINUS)
+        for xi in (a, other, twin, twin, a)
+    ] + [(a, resource) for resource in BellState]
+    for i, (xi, resource) in enumerate(order):
+        seed = 9000 + i
+        got = harness.run_session(xi, seed, resource)
+        want = reference_session(monkeypatch, xi, seed, resource)
+        assert transcript_bits(got) == transcript_bits(want)
+        got = teleport_branches(xi, resource)
+        want = reference_branches(monkeypatch, xi, resource)
+        assert list(map(transcript_bits, got)) == list(map(transcript_bits, want))
+    # The key is the input object: a twin gets its own register.
+    first = teleport._joint(a, BellState.PSI_MINUS)
+    assert teleport._joint(a, BellState.PSI_MINUS) is first
+    assert teleport._joint(twin, BellState.PSI_MINUS) is not first

@@ -24,6 +24,8 @@ def load(name: str):
         ("certify_tables", ["5"], "table derivation: n must be 1..4, got 5"),
         ("certify_tables", ["1", "5"], "table derivation: n must be 1..4, got 5"),
         ("uniformity_campaign", ["--seed0", "-1"], "seed must be >= 0, got -1"),
+        ("uniformity_campaign", ["--seeds", "0"], "seeds must be >= 1, got 0"),
+        ("uniformity_campaign", ["--seeds", "-3"], "seeds must be >= 1, got -3"),
     ],
 )
 def test_malformed_input_exits_2_with_a_message(name, argv, message, capsys):
