@@ -14,7 +14,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .bell import encode
 from .harness import run_session
@@ -112,6 +111,9 @@ def chi_square_uniform(histogram: dict[str, int] | list[int]) -> tuple[float, fl
 
     Every bin must be present (zero counts included).
     """
+    # Imported on first use: scipy.special doubles start-up, and only p-values need it.
+    from scipy.special import chdtrc
+
     counts = np.asarray(
         [histogram[k] for k in sorted(histogram)] if isinstance(histogram, dict) else histogram,
         dtype=float,

@@ -2,7 +2,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -313,3 +317,29 @@ def test_main_reports_usage_errors(capsys, tmp_path):
     tiny.write_text("q1\n0,0\n0,0\n")
     assert main(["--n", "1", "--input", str(tiny)]) == 2
     assert "zero state vector" in capsys.readouterr().err
+
+
+# Runs in a fresh interpreter; prints whether scipy.special is loaded after each mode.
+SCIPY_PROBE = """
+import sys
+from teleportsim import cli
+
+for argv in (["--mode", "derive-table", "--n", "2"], ["--mode", "certify", "--n", "2"],
+             ["--mode", "sample", "--n", "1", "--trials", "20"]):
+    code = cli.main(argv + ["--out", sys.argv[1]])
+    print(argv[1], code, "scipy.special" in sys.modules)
+"""
+
+
+def test_scipy_special_is_loaded_only_for_a_p_value(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    run = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "report.json")],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines() == [
+        "derive-table 0 False",
+        "certify 0 False",
+        "sample 0 True",
+    ]

@@ -4,10 +4,11 @@ correction solver against the full candidate scan.
 
 The references below are the earlier engine kept as test-local copies:
 `np.kron` tensor products, the `np.cumsum`/`np.searchsorted` branch draw,
-`np.tensordot` projection, four projections per Bell measurement on the
-unreordered register, validation by `PauliString.apply` and `fidelity`
-one branch at a time, the solver scoring all 4^n candidates on every
-fiducial row, and the walk building its 3n-qubit register on every call.
+`np.tensordot` projection dividing by the norm, four projections per Bell
+measurement on the unreordered register, validation by
+`PauliString.apply` and `fidelity` one branch at a time, the solver
+scoring all 4^n candidates on every fiducial row, and the walk building
+its 3n-qubit register on every call.
 """
 from __future__ import annotations
 
@@ -28,6 +29,7 @@ from teleportsim.bell import (
     encode,
     measure_bell_branches,
 )
+from teleportsim.cli import FIXTURE_NAMES, fixture_state
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import (
     FIDELITY_TOL,
@@ -220,6 +222,33 @@ def test_projection_matches_tensordot_on_impossible_branches():
             got = project_qubits(joint, pair, kind.amplitudes)
             assert_same(got, reference_project(joint, pair, kind.amplitudes))
             assert (got[1] is None) == (kind is not BellState.PSI_MINUS)
+
+
+def same_remainder(got, want) -> bool:
+    """Equal probabilities and labels, amplitudes equal bit for bit with
+    signed zeros."""
+    (p1, r1), (p2, r2) = got, want
+    return p1 == p2 and r1.qubits == r2.qubits and same_bits(r1.amps, r2.amps)
+
+
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_reciprocal_scaling_matches_the_dividing_projection(n, resource):
+    # project_qubits scales by 1 / sqrt(p); the reference divides by sqrt(p).
+    # The two differ only on a -0.0 part before scaling, which np.dot's sums
+    # never produce. Every projection of every fixture walk keeps the bits.
+    def checked(state, pair):
+        branches = measure_bell_branches(state, pair)
+        for b in branches:
+            want = reference_project(state, pair, b.outcome.amplitudes)
+            assert same_remainder(project_qubits(state, pair, b.outcome.amplitudes), want)
+            assert same_remainder((b.probability, b.remainder), want)
+        return branches
+
+    inputs = [fixture_state(name, n) for name in FIXTURE_NAMES]
+    inputs.append(random_state(protocol_labels(n)[0], np.random.default_rng(10000 + n)))
+    for xi in inputs:
+        assert len(teleport._walk(xi, resource, checked)) == 4 ** n
 
 
 @pytest.mark.parametrize("n", range(2, 16))
