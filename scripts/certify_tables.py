@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Derive correction tables from scratch and certify them row by row.
 
-Widths with a shipped fixture (1 and 2) are certified against it; wider
-tables are certified against the composed single-pair rule. Disagreements
-are printed with the oracle-verified correction alongside the fixture row.
+Widths with a shipped fixture (up to MAX_REFERENCE_WIDTH) are certified
+against it; wider tables are certified against the composed single-pair
+rule. Disagreements are printed with the oracle-verified correction
+alongside the fixture row, and the exit status is 1.
 """
 from __future__ import annotations
 
@@ -11,9 +12,7 @@ import argparse
 import sys
 
 from teleportsim import certify_table, composed_table, derive_corrections, reference_table
-from teleportsim.teleport import MAX_TABLE_WIDTH, check_width
-
-FIXTURE_WIDTHS = (1, 2)
+from teleportsim.teleport import MAX_REFERENCE_WIDTH, MAX_TABLE_WIDTH, VERDICT_MATCH, check_width
 
 
 def main(argv=None) -> int:
@@ -35,12 +34,12 @@ def certify(widths: list[int], all_rows: bool) -> int:
     any_disagreement = False
     for n in widths:
         derived = derive_corrections(n)
-        against = "fixture" if n in FIXTURE_WIDTHS else "composed rule"
-        ref = reference_table(n) if n in FIXTURE_WIDTHS else composed_table(n)
+        against = "fixture" if n <= MAX_REFERENCE_WIDTH else "composed rule"
+        ref = reference_table(n) if n <= MAX_REFERENCE_WIDTH else composed_table(n)
         report = certify_table(derived, ref)
         print(f"width {n} vs {against}: {dict(report.counts)}")
         for row in report.rows:
-            if row.verdict == "match" and not all_rows:
+            if row.verdict == VERDICT_MATCH and not all_rows:
                 continue
             print(f"  {row.code} [{row.verdict}] oracle: {row.derived:<24} {against}: {row.reference}")
         if not report.all_match:

@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
 
@@ -59,16 +58,6 @@ def decode(code: str) -> tuple[BellState, ...]:
     return tuple(_ORDER[int(code[i : i + 2], 2)] for i in range(0, len(code), 2))
 
 
-@dataclass(frozen=True)
-class OutcomeBranch:
-    """One branch of an exhaustive Bell measurement on a pair the caller
-    named; the remainder is None when the branch is impossible."""
-
-    outcome: BellState
-    probability: float
-    remainder: StateVector | None
-
-
 def bell_pair(kind: BellState, a: str, b: str) -> StateVector:
     """A fresh Bell pair of the given kind on qubits (a, b)."""
     if a == b:
@@ -76,8 +65,12 @@ def bell_pair(kind: BellState, a: str, b: str) -> StateVector:
     return _state((a, b), kind.amplitudes)
 
 
-def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[OutcomeBranch]:
-    """All four Bell branches of measuring the pair, in canonical order.
+def measure_bell_branches(
+    state: StateVector, pair: Sequence[str]
+) -> list[tuple[BellState, float, StateVector | None]]:
+    """All four Bell branches of measuring the pair, in canonical order, as
+    (outcome, probability, remainder); the remainder is None when the
+    branch is impossible.
 
     The measured pair is consumed: remainders live on the remaining qubits.
     Branch probabilities always sum to 1. The pair is moved to the front
@@ -93,13 +86,13 @@ def measure_bell_branches(state: StateVector, pair: Sequence[str]) -> list[Outco
     for kind, row in _AMPLITUDES.items():
         prob, rem = project_qubits(state, (pa, pb), row)
         total += prob
-        branches.append(OutcomeBranch(kind, prob, rem))
+        branches.append((kind, prob, rem))
     if abs(total - 1.0) > PROB_SUM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
     return branches
 
 
-def draw_branch(branches: Sequence[OutcomeBranch], rng: np.random.Generator) -> OutcomeBranch:
+def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
     """Sample one branch according to its probability, by the inverse-CDF
     draw Generator.choice makes from one uniform variate.
 
@@ -112,7 +105,7 @@ def draw_branch(branches: Sequence[OutcomeBranch], rng: np.random.Generator) -> 
         raise ValueError("a seeded random generator is required")
     if not branches:
         raise ValueError("no branches to draw from")
-    cdf = list(itertools.accumulate(b.probability for b in branches))
+    cdf = list(itertools.accumulate(p for _, p, _ in branches))
     total = cdf[-1]
     if not total > 0:
         raise ValueError(f"branch probabilities total {total}; a draw needs a positive total")

@@ -26,7 +26,6 @@ import numpy as np
 
 from .bell import (
     BellState,
-    OutcomeBranch,
     bell_pair,
     decode,
     encode,
@@ -149,7 +148,10 @@ class CorrectionTable:
             code, _, toks = line.partition(" ")
             if len(code) != 2 * n:
                 raise ValueError(f"bad outcome code {code!r} for width {n}")
-            entries[decode(code)] = parse_pauli_tokens(toks)
+            seq = decode(code)
+            if seq in entries:
+                raise ValueError(f"repeated outcome code {code!r}")
+            entries[seq] = parse_pauli_tokens(toks)
         return cls(n, resource, entries)
 
 
@@ -254,7 +256,7 @@ def _joint(xi: StateVector, resource: BellState) -> StateVector:
 def _walk(
     xi: StateVector,
     resource: BellState,
-    follow: Callable[[StateVector, tuple[str, str]], Sequence[OutcomeBranch]],
+    follow: Callable[[StateVector, tuple[str, str]], Sequence[tuple]],
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """The protocol, once: from the input beside its n pairs (_joint),
     (x_i, a_i) Bell-measured from pair n down, one level at a time.
@@ -272,12 +274,12 @@ def _walk(
         pair = (xs[i], ans[i])
         deeper = []
         for outcomes, prob, state in level:
-            for b in follow(state, pair):
-                if b.remainder is None:
+            for kind, p, rem in follow(state, pair):
+                if rem is None:
                     # Bell-resource branches are exactly uniform; hitting this
                     # would falsify the protocol, not the input.
-                    raise RuntimeError(f"impossible branch {b.outcome.value} on {pair} in the walk")
-                deeper.append((outcomes + (b.outcome,), prob * b.probability, b.remainder))
+                    raise RuntimeError(f"impossible branch {kind.value} on {pair} in the walk")
+                deeper.append((outcomes + (kind,), prob * p, rem))
         level = deeper
     return level
 
@@ -519,6 +521,8 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
     """
     if derived.n != ref.n:
         raise ValueError(f"width mismatch: {derived.n} vs {ref.n}")
+    if derived.resource is not ref.resource:
+        raise ValueError(f"resource mismatch: {derived.resource.value} vs {ref.resource.value}")
     rows = []
     counts = {VERDICT_MATCH: 0, VERDICT_PHASE: 0, VERDICT_OPERATOR: 0}
     for seq in outcome_sequences(derived.n):

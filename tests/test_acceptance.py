@@ -249,7 +249,7 @@ def test_criterion_7_numerical_core_properties():
         if n >= 2:
             i, j = rng.choice(n, size=2, replace=False)
             total = sum(
-                b.probability for b in measure_bell_branches(state, (labels[i], labels[j]))
+                p for _, p, _ in measure_bell_branches(state, (labels[i], labels[j]))
             )
             worst["completeness"] = max(worst["completeness"], abs(total - 1.0))
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from teleportsim import bell
 from teleportsim.bell import (
     BellState,
-    OutcomeBranch,
     bell_pair,
     decode,
     draw_branch,
@@ -69,25 +68,26 @@ def test_branches_of_zero_zero():
     # |00> = (phi+ + phi-)/sqrt(2): psi branches impossible, phi branches 1/2.
     s = computational_basis_state(("a", "b"), "00")
     branches = measure_bell_branches(s, ("a", "b"))
-    probs = [b.probability for b in branches]
+    probs = [p for _, p, _ in branches]
     assert probs == pytest.approx([0.0, 0.0, 0.5, 0.5], abs=TOL)
-    assert [b.remainder is None for b in branches] == [True, True, False, False]
-    assert branches[0].remainder is None
+    assert [rem is None for _, _, rem in branches] == [True, True, False, False]
+    assert branches[0][2] is None
 
 
 def test_branches_come_in_canonical_order():
     s = computational_basis_state(("a", "b"), "00")
-    kinds = [b.outcome for b in measure_bell_branches(s, ("a", "b"))]
-    assert kinds == list(BellState)
+    branches = measure_bell_branches(s, ("a", "b"))
+    assert all(type(b) is tuple and len(b) == 3 for b in branches)
+    assert [kind for kind, _, _ in branches] == list(BellState)
 
 
 def test_branch_remainder_excludes_measured_pair():
     u = make_state(("x",), [0.6, 0.8])
     joint = tensor(u, bell_pair(BellState.PSI_MINUS, "a", "b"))
     branches = measure_bell_branches(joint, ("x", "a"))
-    for b in branches:
-        assert b.remainder.qubits == ("b",)
-        assert b.probability == pytest.approx(0.25, abs=TOL)
+    for _, p, rem in branches:
+        assert rem.qubits == ("b",)
+        assert p == pytest.approx(0.25, abs=TOL)
 
 
 def test_a_pair_at_either_end_is_measured_in_place(monkeypatch):
@@ -101,25 +101,25 @@ def test_a_pair_at_either_end_is_measured_in_place(monkeypatch):
     monkeypatch.setattr(bell, "reorder", forbidden)
     for pair, branches in want.items():
         got = measure_bell_branches(s, pair)
-        assert [b.probability for b in got] == [b.probability for b in branches]
-        for g, w in zip(got, branches):
-            assert g.remainder.qubits == w.remainder.qubits
-            assert np.array_equal(g.remainder.amps, w.remainder.amps)
+        assert [p for _, p, _ in got] == [p for _, p, _ in branches]
+        for (_, _, g), (_, _, w) in zip(got, branches):
+            assert g.qubits == w.qubits
+            assert np.array_equal(g.amps, w.amps)
 
 
 @settings(max_examples=50, deadline=None)
 @given(state_vectors(min_qubits=2, max_qubits=3))
 def test_branch_probabilities_sum_to_one(s):
     branches = measure_bell_branches(s, s.qubits[-2:])
-    assert abs(sum(b.probability for b in branches) - 1.0) < TOL
+    assert abs(sum(p for _, p, _ in branches) - 1.0) < TOL
 
 
 def test_sampling_is_deterministic():
     s = make_state(("a", "b"), [1, 1, 1, 1])
-    draws1 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
-              .outcome for k in range(20)]
-    draws2 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))
-              .outcome for k in range(20)]
+    draws1 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))[0]
+              for k in range(20)]
+    draws2 = [draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(k))[0]
+              for k in range(20)]
     assert draws1 == draws2
     assert len(set(draws1)) > 1
 
@@ -132,11 +132,10 @@ def test_sampling_requires_rng():
 
 def test_sample_matches_enumerated_branch():
     s = make_state(("a", "b", "c"), np.arange(1, 9))
-    drawn = draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(7))
-    assert drawn.remainder is not None  # zero-probability branches are never drawn
-    branches = {b.outcome: b for b in measure_bell_branches(s, ("a", "b"))}
-    expected = branches[drawn.outcome].remainder
-    assert np.allclose(drawn.remainder.amps, expected.amps, atol=TOL)
+    kind, _, drawn = draw_branch(measure_bell_branches(s, ("a", "b")), np.random.default_rng(7))
+    assert drawn is not None  # zero-probability branches are never drawn
+    remainders = {k: rem for k, _, rem in measure_bell_branches(s, ("a", "b"))}
+    assert np.allclose(drawn.amps, remainders[kind].amps, atol=TOL)
 
 
 def test_sampled_frequencies_follow_born_rule():
@@ -144,14 +143,14 @@ def test_sampled_frequencies_follow_born_rule():
     # probability exactly 1/4. (A |+>|+> pair does not: it is orthogonal
     # to the singlet.)
     s = make_state(("a", "b"), [1, 1, 0, 0])
-    for kind, branch in zip(BellState, measure_bell_branches(s, ("a", "b"))):
-        assert branch.probability == pytest.approx(0.25, abs=TOL), kind
+    for kind, p, _ in measure_bell_branches(s, ("a", "b")):
+        assert p == pytest.approx(0.25, abs=TOL), kind
     rng = np.random.default_rng(2)
     counts = {k: 0 for k in BellState}
     n = 2000
     for _ in range(n):
-        branch = draw_branch(measure_bell_branches(s, ("a", "b")), rng)
-        counts[branch.outcome] += 1
+        kind, _, _ = draw_branch(measure_bell_branches(s, ("a", "b")), rng)
+        counts[kind] += 1
     for kind, c in counts.items():
         assert abs(c / n - 0.25) < 0.05, (kind, c)
 
@@ -164,7 +163,7 @@ def test_draw_matches_generator_choice():
     skewed = make_state(("a", "b", "c"), np.arange(1, 9))
     for s in (uniform, skewed):
         branches = measure_bell_branches(s, ("a", "b"))
-        p = np.array([b.probability for b in branches])
+        p = np.array([prob for _, prob, _ in branches])
         ours, theirs = np.random.default_rng(11), np.random.default_rng(11)
         for _ in range(2500):
             expected = int(theirs.choice(4, p=p / p.sum()))
@@ -177,6 +176,6 @@ def test_draw_rejects_an_empty_branch_list():
 
 
 def test_draw_rejects_a_zero_probability_total():
-    branches = [OutcomeBranch(k, 0.0, None) for k in BellState]
+    branches = [(k, 0.0, None) for k in BellState]
     with pytest.raises(ValueError, match="total 0.0; a draw needs a positive total"):
         draw_branch(branches, np.random.default_rng(0))

@@ -23,7 +23,6 @@ import pytest
 from teleportsim import harness, teleport
 from teleportsim.bell import (
     BellState,
-    OutcomeBranch,
     bell_pair,
     draw_branch,
     encode,
@@ -93,7 +92,7 @@ def test_tensor_matches_kron_bit_for_bit():
 
 
 def reference_draw(branches, rng):
-    cdf = np.cumsum([b.probability for b in branches])
+    cdf = np.cumsum([p for _, p, _ in branches])
     return branches[int(np.searchsorted(cdf / cdf[-1], rng.random(), side="right"))]
 
 
@@ -115,7 +114,7 @@ class Variates:
 def test_draw_matches_cumsum_searchsorted(amps):
     qubits = ("a", "b", "c")[: int(math.log2(len(amps)))]
     branches = measure_bell_branches(make_state(qubits, amps), ("a", "b"))
-    cdf = np.cumsum([b.probability for b in branches])
+    cdf = np.cumsum([p for _, p, _ in branches])
     norm = cdf / cdf[-1]
     steps = [float(x) for x in norm if x < 1.0]
     variates = [0.0, *steps, *(math.nextafter(x, 1.0) for x in steps),
@@ -127,7 +126,8 @@ def test_draw_matches_cumsum_searchsorted(amps):
         # A variate exactly on a step goes to the first branch past it.
         drawn = draw_branch(branches, Variates([step]))
         assert branches.index(drawn) == np.flatnonzero(norm > step)[0]
-        assert drawn.probability > 0
+        _, p, _ = drawn
+        assert p > 0
 
 
 def reference_project(state, targets, onto):
@@ -145,7 +145,7 @@ def reference_project(state, targets, onto):
 def reference_measure(state, pair):
     pa, pb = pair
     return [
-        OutcomeBranch(kind, *reference_project(state, (pa, pb), kind.amplitudes))
+        (kind, *reference_project(state, (pa, pb), kind.amplitudes))
         for kind in BellState
     ]
 
@@ -163,10 +163,10 @@ def reference_walk(xi, resource, follow):
         pair = (xs[i], ans[i])
         deeper = []
         for outcomes, prob, state in level:
-            for b in follow(state, pair):
-                if b.remainder is None:
-                    raise RuntimeError(f"impossible branch {b.outcome.value} on {pair} in the walk")
-                deeper.append((outcomes + (b.outcome,), prob * b.probability, b.remainder))
+            for kind, p, rem in follow(state, pair):
+                if rem is None:
+                    raise RuntimeError(f"impossible branch {kind.value} on {pair} in the walk")
+                deeper.append((outcomes + (kind,), prob * p, rem))
         level = deeper
     return level
 
@@ -239,10 +239,10 @@ def test_reciprocal_scaling_matches_the_dividing_projection(n, resource):
     # never produce. Every projection of every fixture walk keeps the bits.
     def checked(state, pair):
         branches = measure_bell_branches(state, pair)
-        for b in branches:
-            want = reference_project(state, pair, b.outcome.amplitudes)
-            assert same_remainder(project_qubits(state, pair, b.outcome.amplitudes), want)
-            assert same_remainder((b.probability, b.remainder), want)
+        for kind, p, rem in branches:
+            want = reference_project(state, pair, kind.amplitudes)
+            assert same_remainder(project_qubits(state, pair, kind.amplitudes), want)
+            assert same_remainder((p, rem), want)
         return branches
 
     inputs = [fixture_state(name, n) for name in FIXTURE_NAMES]
@@ -259,9 +259,9 @@ def test_bell_measurement_matches_four_projections(n):
     for pair in pairs:
         labels = tuple(s.qubits[i] for i in pair)
         got, want = measure_bell_branches(s, labels), reference_measure(s, labels)
-        assert [b.outcome for b in got] == [b.outcome for b in want]
-        for g, w in zip(got, want):
-            assert_same((g.probability, g.remainder), (w.probability, w.remainder))
+        assert [kind for kind, _, _ in got] == [kind for kind, _, _ in want]
+        for (_, *g), (_, *w) in zip(got, want):
+            assert_same(g, w)
 
 
 @pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)

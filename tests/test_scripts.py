@@ -54,3 +54,23 @@ def test_certify_tables_runs(capsys):
     assert load("certify_tables").main(["1"]) == 0
     out, _ = capsys.readouterr()
     assert out.startswith("width 1 vs fixture: ")
+
+
+def test_certify_tables_reports_the_fixture_mismatches(capsys):
+    # Width 2's fixture has known mismatches (exit 1); width 3 has no
+    # fixture and is certified against the composed rule.
+    assert load("certify_tables").main(["2", "3"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "width 2 vs fixture: "
+        "{'match': 5, 'phase_only_mismatch': 2, 'operator_mismatch': 9}"
+    )
+    codes = ("0011", "0110", "0111", "1000", "1001", "1010", "1011", "1100", "1101", "1110", "1111")
+    assert [line.split()[:2] for line in lines[1:-1]] == [
+        [code, "[phase_only_mismatch]" if code in ("0011", "0111") else "[operator_mismatch]"]
+        for code in codes
+    ]
+    assert lines[-1] == (
+        "width 3 vs composed rule: "
+        "{'match': 64, 'phase_only_mismatch': 0, 'operator_mismatch': 0}"
+    )

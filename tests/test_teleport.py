@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import teleport
-from teleportsim.bell import BellState, OutcomeBranch, measure_bell_branches
+from teleportsim.bell import BellState, measure_bell_branches
 from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
@@ -153,7 +153,7 @@ def test_teleport_branches_rejects_a_table_of_another_width(table_n, input_n):
 def test_walk_rejects_an_impossible_branch():
     def measure_then_lose_one(state, pair):
         branches = measure_bell_branches(state, pair)
-        branches[2] = OutcomeBranch(branches[2].outcome, 0.0, None)
+        branches[2] = (branches[2][0], 0.0, None)
         return branches
 
     xi = rand_state(np.random.default_rng(5), 2)
@@ -346,6 +346,9 @@ def test_table_from_text_rejects_bad_code():
         CorrectionTable.from_text("012 I\n", 1, PSIM)
     with pytest.raises(ValueError, match="bad outcome code"):
         CorrectionTable.from_text("0a I\n", 1, PSIM)
+    # A repeated row must not silently replace the first.
+    with pytest.raises(ValueError, match="repeated outcome code '00'"):
+        CorrectionTable.from_text(composed_table(1).to_text() + "00 X@b1\n", 1, PSIM)
 
 
 def test_validation_names_the_wrong_row():
@@ -392,6 +395,12 @@ def test_certification_verdicts_for_key_rows():
 def test_certification_rejects_width_mismatch():
     with pytest.raises(ValueError, match="width"):
         certify_table(derive_corrections(1), reference_table(2))
+
+
+def test_certification_rejects_resource_mismatch():
+    # Tables for different resources differ by design, not by error.
+    with pytest.raises(ValueError, match="resource mismatch: phi\\+ vs psi-"):
+        certify_table(derive_corrections(1, BellState.PHI_PLUS), reference_table(1))
 
 
 def test_reference_table_width_three_missing():
