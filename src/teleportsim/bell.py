@@ -76,15 +76,17 @@ def measure_bell_branches(
     Branch probabilities always sum to 1. The pair is moved to the front
     once, so the four projections share one transposed copy.
     """
-    pa, pb = pair
+    pair = tuple(pair)
+    if len(pair) != 2:
+        raise ValueError(f"a Bell measurement needs a pair of qubits, got {pair}")
     # A leading or trailing pair needs no copy: project_qubits contracts it
     # in place, and a copy of a trailing one would change the last bits.
-    if (pa, pb) not in (state.qubits[:2], state.qubits[-2:]):
-        state = reorder(state, (pa, pb) + tuple(q for q in state.qubits if q not in (pa, pb)))
+    if pair != state.qubits[:2] and pair != state.qubits[-2:]:
+        state = reorder(state, pair + tuple(q for q in state.qubits if q not in pair))
     branches = []
     total = 0.0
     for kind, row in _AMPLITUDES.items():
-        prob, rem = project_qubits(state, (pa, pb), row)
+        prob, rem = project_qubits(state, pair, row)
         total += prob
         branches.append((kind, prob, rem))
     if abs(total - 1.0) > PROB_SUM_TOL:

@@ -83,10 +83,10 @@ class StateVector:
 
 
 def _state(qubits: Iterable[str], amps: np.ndarray) -> StateVector:
-    # Trusted constructor: amps already validated and normalized.
-    a = np.ascontiguousarray(amps, dtype=complex).reshape(-1)
-    a.setflags(write=False)
-    return StateVector(tuple(qubits), a)
+    # Trusted constructor: amps is already a validated, normalized, 1-D
+    # C-contiguous complex array that no caller writes to again.
+    amps.setflags(write=False)
+    return StateVector(tuple(qubits), amps)
 
 
 def make_state(qubits: Sequence[str], amps) -> StateVector:
@@ -121,7 +121,12 @@ def make_state(qubits: Sequence[str], amps) -> StateVector:
 def computational_basis_state(qubits: Sequence[str], index: int | str) -> StateVector:
     """Basis state |index>; index may be an int or a bit string."""
     n = len(qubits)
-    i = int(index, 2) if isinstance(index, str) else int(index)
+    if isinstance(index, str):
+        if len(index) != n or set(index) - {"0", "1"}:
+            raise ValueError(f"basis bit string {index!r} needs exactly {n} bits, each 0 or 1")
+        i = int(index, 2) if index else 0
+    else:
+        i = int(index)
     if not 0 <= i < 2 ** n:
         raise ValueError(f"basis index {index!r} out of range for {n} qubits")
     a = np.zeros(2 ** n, dtype=complex)
@@ -159,7 +164,7 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
         )
     # The outer product is np.kron's own broadcast multiply for 1-D
     # inputs, without its wrapper: the same bits.
-    return _state(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps))
+    return _state(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateVector:
@@ -223,13 +228,15 @@ def project_qubits(
         rest = [i for i in range(state.n_qubits) if i not in axes]
         t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
         keep = tuple(state.qubits[i] for i in rest)
-    rem = np.dot(np.conj(onto).reshape(1, -1), t)
+    rem = np.dot(np.conj(onto), t)
     prob = float(np.vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None
-    # Division's bits at a fraction of its cost: the two differ only on a
-    # -0.0 part, and np.dot's sums are never -0.0.
-    return prob, _state(keep, rem.reshape(-1) * (1.0 / math.sqrt(prob)))
+    # np.dot's product is fresh, so it is normalized in place. Division's
+    # bits at a fraction of its cost: the two differ only on a -0.0 part,
+    # and np.dot's sums are never -0.0.
+    rem *= 1.0 / math.sqrt(prob)
+    return prob, _state(keep, rem)
 
 
 # --- state literal format -------------------------------------------------

@@ -90,6 +90,13 @@ def test_branch_remainder_excludes_measured_pair():
         assert p == pytest.approx(0.25, abs=TOL)
 
 
+@pytest.mark.parametrize("pair", [("q1",), ("q1", "q2", "q3")])
+def test_measurement_rejects_a_pair_of_the_wrong_size(pair):
+    s = rand_state(np.random.default_rng(3), 3)
+    with pytest.raises(ValueError, match="needs a pair of qubits"):
+        measure_bell_branches(s, pair)
+
+
 def test_a_pair_at_either_end_is_measured_in_place(monkeypatch):
     # The walk's first pair leads its register; no reorder is needed there.
     s = rand_state(np.random.default_rng(11), 4)

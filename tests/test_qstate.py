@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from teleportsim.qstate import (
     tensor,
     with_labels,
 )
-from teleportsim.bell import BellState, bell_pair
+from teleportsim.bell import BellState, bell_pair, measure_bell_branches
+from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import X_GATE, Z_GATE, ZX_GATE
 
 from conftest import TOL, labels, rand_state, state_vectors, unitaries_2x2
@@ -76,15 +78,60 @@ def test_register_cap_is_sixteen():
         make_state(labels(17), np.zeros(2 ** 17))
 
 
-def test_amps_are_read_only():
-    s = make_state(("q1",), [1, 0])
+def _four():
+    return rand_state(np.random.default_rng(4), 4)
+
+
+def _bell_remainder(first):
+    # The measured pair leads, sits in the middle of, or trails the register.
+    return _four, lambda s: measure_bell_branches(s, s.qubits[first : first + 2])[0][2]
+
+
+_PHASED_PAULI = PauliString.from_pairs([("q1", PauliFactor.ZX), ("q3", PauliFactor.Z)], 1j)
+
+# name -> (source of the input state or None, producer of the state checked).
+# A producer given an input must copy it, never view it or write to it.
+PRODUCERS = {
+    "make_state": (None, lambda _: make_state(("q1",), [1, 0])),
+    "tensor": (None, lambda _: tensor(_four(), bell_pair(BellState.PHI_PLUS, "a", "b"))),
+    "apply_gate": (None, lambda _: apply_gate(_four(), X_GATE, "q2")),
+    "with_labels": (None, lambda _: with_labels(_four(), labels(4, "p"))),
+    "reorder": (_four, lambda s: reorder(s, ("q3", "q1", "q4", "q2"))),
+    "project_qubits": (
+        _four,
+        lambda s: project_qubits(s, ("q3", "q1"), BellState.PSI_PLUS.amplitudes)[1],
+    ),
+    "project_qubits-empty": (_four, lambda s: project_qubits(s, s.qubits, s.amps)[1]),
+    "bell-leading": _bell_remainder(0),
+    "bell-middle": _bell_remainder(1),
+    "bell-trailing": _bell_remainder(2),
+    "PauliString.apply": (None, lambda _: _PHASED_PAULI.apply(_four())),
+    "bell_pair": (None, lambda _: bell_pair(BellState.PSI_MINUS, "a", "b")),
+}
+
+
+@pytest.mark.parametrize("source, produce", PRODUCERS.values(), ids=PRODUCERS.keys())
+def test_amps_are_read_only(source, produce):
+    s = source() if source else None
+    before = s.amps.tobytes() if s else None
+    a = produce(s).amps
+    assert a.dtype == np.complex128 and a.ndim == 1 and a.flags.c_contiguous
     with pytest.raises(ValueError):
-        s.amps[0] = 0
+        a[0] = 0
+    if s is not None:
+        assert not np.shares_memory(a, s.amps)
+        assert s.amps.tobytes() == before
 
 
 def test_basis_state_by_bits():
     s = computational_basis_state(("q1", "q2"), "10")
     assert s.amplitude("10") == 1.0
+
+
+@pytest.mark.parametrize("bits", ["1", "0001", " 1", "1 ", "12", "", "0b1"])
+def test_basis_state_rejects_a_bit_string_of_the_wrong_form(bits):
+    with pytest.raises(ValueError, match=re.escape(f"{bits!r} needs exactly 2 bits")):
+        computational_basis_state(("q1", "q2"), bits)
 
 
 def test_with_labels_keeps_amplitudes():
