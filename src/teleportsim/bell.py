@@ -25,7 +25,7 @@ class BellState(Enum):
 
     @property
     def bits(self) -> str:
-        return format(_ORDER.index(self), "02b")
+        return _BITS[self]
 
     @property
     def amplitudes(self) -> np.ndarray:
@@ -33,6 +33,7 @@ class BellState(Enum):
 
 
 _ORDER = list(BellState)
+_BITS = {kind: format(i, "02b") for i, kind in enumerate(_ORDER)}
 # Validated and normalized once, here: make_state's rows differ from the
 # raw _S rows by an ulp, and every pair and projection uses these bits.
 _AMPLITUDES = {
@@ -48,7 +49,7 @@ _AMPLITUDES = {
 
 def encode(kinds: Iterable[BellState]) -> str:
     """The classical message for a sequence of outcomes: two bits each, in order."""
-    return "".join(k.bits for k in kinds)
+    return "".join(map(_BITS.__getitem__, kinds))
 
 
 def decode(code: str) -> tuple[BellState, ...]:

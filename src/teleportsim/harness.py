@@ -9,6 +9,7 @@ cannot change the receiver's result.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -44,8 +45,8 @@ class Party:
     owned: frozenset[str]
 
     def check_owns(self, qubits: Sequence[str]) -> None:
-        missing = set(qubits) - self.owned
-        if missing:
+        if not self.owned.issuperset(qubits):
+            missing = set(qubits) - self.owned
             raise LocalityError(
                 f"{self.role.value} does not own {sorted(missing)}"
             )
@@ -61,12 +62,23 @@ class Party:
         return correction.apply(state)
 
 
+@functools.lru_cache(maxsize=MAX_PROTOCOL_WIDTH)
+def _parties(n: int) -> tuple[Party, Party]:
+    """A width-n session's sender and receiver, built once per width."""
+    xs, ans, bs = protocol_labels(n)
+    return Party(Role.SENDER, frozenset(xs + ans)), Party(Role.RECEIVER, frozenset(bs))
+
+
+# A pure function of immutable arguments; 1024 entries hold every width-5 message.
+@functools.lru_cache(maxsize=4 ** MAX_PROTOCOL_WIDTH)
 def corrections_from_message(
     message: str,
     resource: BellState = BellState.PSI_MINUS,
 ) -> PauliString:
     """The receiver's correction, computed from the message bits alone."""
-    return composed_correction(decode(message), resource)
+    kinds = decode(message)
+    check_width(len(kinds), MAX_PROTOCOL_WIDTH, "message")
+    return composed_correction(kinds, resource)
 
 
 def run_session(
@@ -78,9 +90,7 @@ def run_session(
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
 
-    xs, ans, bs = protocol_labels(xi.n_qubits)
-    sender = Party(Role.SENDER, frozenset(xs) | frozenset(ans))
-    receiver = Party(Role.RECEIVER, frozenset(bs))
+    sender, receiver = _parties(xi.n_qubits)
     [(outcomes, prob, state)] = _walk(
         xi, resource, lambda state, pair: [sender.measure_pair(state, pair, rng)]
     )

@@ -113,8 +113,9 @@ class PauliString:
         kept = tuple((q, f) for q, f in pairs if f is not PauliFactor.I)
         return cls(kept, complex(phase))
 
-    @property
+    @functools.cached_property
     def op_count(self) -> int:
+        # Cached: a message's correction is built once and shared by sessions.
         return sum(f.op_count for _, f in self.factors)
 
     @property

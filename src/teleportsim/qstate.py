@@ -58,7 +58,7 @@ Z_GATE = SingleQubitGate.custom("Z", [[-1, 0], [0, 1]])
 ZX_GATE = SingleQubitGate.custom("ZX", Z_GATE.matrix @ X_GATE.matrix)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     """Normalized pure state over an ordered tuple of qubit labels."""
 

@@ -7,8 +7,9 @@ The references below are the earlier engine kept as test-local copies:
 `np.tensordot` projection dividing by the norm, four projections per Bell
 measurement on the unreordered register, validation by
 `PauliString.apply` and `fidelity` one branch at a time, the solver
-scoring all 4^n candidates on every fiducial row, and the walk building
-its 3n-qubit register on every call.
+scoring all 4^n candidates on every fiducial row, the walk building
+its 3n-qubit register on every call, and the session composing its
+correction and its two parties on every call.
 """
 from __future__ import annotations
 
@@ -24,11 +25,12 @@ from teleportsim import harness, teleport
 from teleportsim.bell import (
     BellState,
     bell_pair,
+    decode,
     draw_branch,
     encode,
     measure_bell_branches,
 )
-from teleportsim.cli import FIXTURE_NAMES, fixture_state
+from teleportsim.cli import FIXTURE_NAMES, CampaignConfig, fixture_state, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import (
     FIDELITY_TOL,
@@ -50,6 +52,7 @@ from teleportsim.teleport import (
     CorrectionTable,
     NoCorrectionError,
     _validate_table,
+    composed_correction,
     composed_table,
     enumerate_protocol_branches,
     outcome_sequences,
@@ -435,6 +438,7 @@ def transcript_bits(t):
         t.outcomes,
         t.message,
         t.corrections.tokens(),
+        t.single_qubit_ops,
         t.branch_probability.hex(),
         t.final_fidelity.hex(),
         t.residual_phase.real.hex(),
@@ -445,6 +449,9 @@ def transcript_bits(t):
 def reference_session(monkeypatch, xi, seed, resource):
     with monkeypatch.context() as m:
         m.setattr(harness, "_walk", reference_walk)
+        # The builders behind the caches, called afresh every session.
+        m.setattr(harness, "corrections_from_message", harness.corrections_from_message.__wrapped__)
+        m.setattr(harness, "_parties", harness._parties.__wrapped__)
         return harness.run_session(xi, seed, resource)
 
 
@@ -500,3 +507,41 @@ def test_interleaved_inputs_and_resources_never_share_a_register(n, monkeypatch)
     first = teleport._joint(a, BellState.PSI_MINUS)
     assert teleport._joint(a, BellState.PSI_MINUS) is first
     assert teleport._joint(twin, BellState.PSI_MINUS) is not first
+
+
+def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
+    harness.corrections_from_message.cache_clear()
+    harness._parties.cache_clear()
+    messages = [encode(seq) for n in (1, 2, 3) for seq in teleport.outcome_sequences(n)]
+    # Filled one resource at a time, then read back alternating resources.
+    calls = [(m, r) for r in BellState for m in messages]
+    calls += [(m, r) for m in messages for r in BellState]
+    for message, resource in calls:
+        got = harness.corrections_from_message(message, resource)
+        want = composed_correction(decode(message), resource)
+        assert got == want and got.op_count == want.op_count
+    assert harness.corrections_from_message.cache_info().misses == len(calls) // 2
+
+    inputs = {n: random_state(protocol_labels(n)[0], np.random.default_rng(9500 + n))
+              for n in (1, 2, 3, 5)}
+    for i in range(24):
+        xi, resource = inputs[(1, 3, 2, 5)[i % 4]], list(BellState)[i % 3]
+        got = harness.run_session(xi, 9600 + i, resource)
+        want = reference_session(monkeypatch, xi, 9600 + i, resource)
+        assert transcript_bits(got) == transcript_bits(want)
+
+    # A failed call caches nothing: the second call raises again.
+    for bad in ("011", "", "00" * 6):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                harness.corrections_from_message(bad)
+
+    def sample(n):
+        return run_campaign(CampaignConfig(n=n, trials=60, seed=11, mode="sample")).to_json()
+
+    harness.corrections_from_message.cache_clear()
+    harness._parties.cache_clear()
+    first = sample(2)
+    for n in (3, 1, 5):
+        sample(n)
+    assert sample(2) == first

@@ -102,6 +102,11 @@ def test_message_validation():
         corrections_from_message("011")
     with pytest.raises(ValueError, match="even-length bit string"):
         corrections_from_message("0a")
+    # Well-formed bits, but no session sends them: zero pairs, or more than five.
+    with pytest.raises(ValueError, match=r"message: n must be 1\.\.5, got 0"):
+        corrections_from_message("")
+    with pytest.raises(ValueError, match=r"message: n must be 1\.\.5, got 7"):
+        corrections_from_message("01" * 7)
     assert decode("0111") == (
         BellState.PSI_PLUS,
         BellState.PHI_PLUS,

@@ -1,6 +1,7 @@
 """State-vector core: construction, gates, reordering, projection, literals."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 
@@ -121,6 +122,26 @@ def test_amps_are_read_only(source, produce):
     if s is not None:
         assert not np.shares_memory(a, s.amps)
         assert s.amps.tobytes() == before
+
+
+def test_state_vector_is_frozen_and_compared_by_identity():
+    s = make_state(("q1", "q2"), [1, 0, 0, 1])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.qubits = ("p1", "p2")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.amps = np.zeros(4, dtype=complex)
+    # Slotted: no instance dict to carry stray attributes. Python 3.11's
+    # frozen __setattr__ raises TypeError for a slotted class, later ones
+    # FrozenInstanceError.
+    with pytest.raises((AttributeError, TypeError)):
+        s.label = "bell"
+    assert not hasattr(s, "__dict__")
+    twin = with_labels(s, s.qubits)
+    assert np.array_equal(twin.amps, s.amps)
+    # Equal amplitudes, distinct objects: caches keyed by a state tell them apart.
+    assert twin != s and s == s
+    assert hash(s) == object.__hash__(s) and hash(twin) == object.__hash__(twin)
+    assert len({s, twin, s}) == 2
 
 
 def test_basis_state_by_bits():
