@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bell import encode
-from .harness import run_session
+from .harness import run_session, session_generators
 from .qstate import (
     EXIT_FIDELITY_TOL,
     StateVector,
@@ -186,10 +186,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     if cfg.mode in ("sample", "branches"):
         xi = resolve_input(cfg, np.random.default_rng(input_ss))
         if cfg.mode == "sample":
-            # One child seed per session: the same seeds as spawn(trials),
-            # without holding them all. Memory is O(4^n) plus 8 bytes a trial.
+            # Seeded a block of harness.SESSION_BLOCK sessions at a time: memory
+            # is O(4^n) plus one block's seed arrays and 8 bytes a trial.
             transcripts = (
-                run_session(xi, trials_ss.spawn(1)[0]) for _ in range(cfg.trials)
+                run_session(xi, rng) for rng in session_generators(trials_ss, cfg.trials)
             )
             fidelities = np.empty(cfg.trials)
         else:

@@ -48,6 +48,12 @@ def test_correction_is_pure_function_of_message(phi):
         assert corrections_from_message(t.message) == t.corrections
 
 
+def test_default_and_explicit_resource_share_one_cached_correction(phi):
+    t = run_session(phi, seed=3)
+    assert corrections_from_message(t.message) is t.corrections
+    assert corrections_from_message(t.message, BellState.PSI_MINUS) is t.corrections
+
+
 def test_session_accepts_alternate_resource(phi):
     t = run_session(phi, seed=5, resource=BellState.PHI_PLUS)
     assert t.final_fidelity >= 1 - TOL
