@@ -21,7 +21,7 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     try:
         return sweep(args)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -252,7 +252,7 @@ def main(argv: list[str] | None = None) -> int:
         report = run_campaign(cfg)
         if cfg.out:
             Path(cfg.out).write_text(report.to_json())
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     if not cfg.out:

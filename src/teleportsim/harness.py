@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .bell import BellState, decode, draw_branch, encode, measure_bell_branches
+from .bell import BellState, decode, encode
 from .pauli import PauliString
 from .qstate import StateVector
 from .teleport import (
@@ -52,16 +52,6 @@ class Party:
                 f"{self.role.value} does not own {sorted(missing)}"
             )
 
-    def measure_pair(
-        self, state: StateVector, pair: tuple[str, str], rng: np.random.Generator
-    ):
-        self.check_owns(pair)
-        return draw_branch(measure_bell_branches(state, pair), rng)
-
-    def apply_correction(self, state: StateVector, correction: PauliString) -> StateVector:
-        self.check_owns(correction.qubits)
-        return correction.apply(state)
-
 
 @functools.lru_cache(maxsize=MAX_PROTOCOL_WIDTH)
 def _parties(n: int) -> tuple[Party, Party]:
@@ -71,25 +61,13 @@ def _parties(n: int) -> tuple[Party, Party]:
 
 
 # A pure function of immutable arguments; 1024 entries hold every width-5 message.
-# The resource is required, so the default and an explicit psi- share one entry.
+# Both arguments are positional-only, so each (message, resource) has one key.
 @functools.lru_cache(maxsize=4 ** MAX_PROTOCOL_WIDTH)
-def _correction(message: str, resource: BellState) -> PauliString:
+def corrections_from_message(message: str, resource: BellState, /) -> PauliString:
+    """The receiver's correction, computed from the message bits alone."""
     kinds = decode(message)
     check_width(len(kinds), MAX_PROTOCOL_WIDTH, "message")
     return composed_correction(kinds, resource)
-
-
-def corrections_from_message(
-    message: str, resource: BellState = BellState.PSI_MINUS
-) -> PauliString:
-    """The receiver's correction, computed from the message bits alone."""
-    return _correction(message, resource)
-
-
-# The cache's builder and controls, under the public name.
-corrections_from_message.__wrapped__ = _correction.__wrapped__
-corrections_from_message.cache_clear = _correction.cache_clear
-corrections_from_message.cache_info = _correction.cache_info
 
 # NumPy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx, pcg64.c).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -173,13 +151,15 @@ def run_session(
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
 
-    sender, receiver = _parties(xi.n_qubits)
-    [(outcomes, prob, state)] = _walk(
-        xi, resource, lambda state, pair: [sender.measure_pair(state, pair, rng)]
-    )
+    n = xi.n_qubits
+    xs, ans, _ = protocol_labels(n)
+    sender, receiver = _parties(n)
+    # The walk measures exactly the pairs (x_i, a_i) of these labels.
+    sender.check_owns(xs + ans)
+    [(outcomes, prob, state)] = _walk(xi, resource, rng)
 
     # The sender's register is fully consumed; only these bits cross over.
     message = encode(outcomes)
     correction = corrections_from_message(message, resource)
-    corrected = receiver.apply_correction(state, correction)
-    return _finish(xi, outcomes, prob, corrected, resource, correction, message)
+    receiver.check_owns(correction.qubits)
+    return _finish(xi, outcomes, prob, correction.apply(state), resource, correction, message)

@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .bell import (
     BellState,
     bell_pair,
     decode,
+    draw_branch,
     encode,
     measure_bell_branches,
 )
@@ -256,13 +257,13 @@ def _joint(xi: StateVector, resource: BellState) -> StateVector:
 def _walk(
     xi: StateVector,
     resource: BellState,
-    follow: Callable[[StateVector, tuple[str, str]], Sequence[tuple]],
+    rng: np.random.Generator | None = None,
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """The protocol, once: from the input beside its n pairs (_joint),
     (x_i, a_i) Bell-measured from pair n down, one level at a time.
 
-    `follow(state, pair)` measures one pair and returns the branches to go
-    on with: one drawn branch for a sampled run, all four for enumeration.
+    Without `rng` every branch is followed, all 4^n of them; with it each
+    level goes on with the one branch draw_branch takes, as a session does.
     Returns (outcomes, probability, receiver state) per finished branch.
     Each level extends the last one's branches in order, so the first
     outcome is the most significant: the order of outcome_sequences.
@@ -274,7 +275,10 @@ def _walk(
         pair = (xs[i], ans[i])
         deeper = []
         for outcomes, prob, state in level:
-            for kind, p, rem in follow(state, pair):
+            branches = measure_bell_branches(state, pair)
+            if rng is not None:
+                branches = [draw_branch(branches, rng)]
+            for kind, p, rem in branches:
                 if rem is None:
                     # Bell-resource branches are exactly uniform; hitting this
                     # would falsify the protocol, not the input.
@@ -289,7 +293,7 @@ def enumerate_protocol_branches(
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
     check_width(xi.n_qubits, MAX_TABLE_WIDTH, "branch enumeration")
-    return _walk(xi, resource, measure_bell_branches)
+    return _walk(xi, resource)
 
 
 def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:

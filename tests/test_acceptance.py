@@ -10,6 +10,7 @@ import time
 import numpy as np
 
 from teleportsim import (
+    BellState,
     CampaignConfig,
     PauliFactor,
     SingleQubitGate,
@@ -199,7 +200,7 @@ def test_criterion_6_corrections_are_a_pure_function_of_the_message():
         n = 1 + i % 3
         xi = inputs[n]
         t = run_session(xi, seed=i)
-        rebuilt = corrections_from_message(t.message)
+        rebuilt = corrections_from_message(t.message, BellState.PSI_MINUS)
         if n not in branch_cache:
             branch_cache[n] = {b.message: b for b in teleport_branches(xi)}
         replay = branch_cache[n][t.message]

@@ -319,6 +319,15 @@ def test_main_reports_usage_errors(capsys, tmp_path):
     assert "zero state vector" in capsys.readouterr().err
 
 
+def test_main_reports_trials_too_many_to_allocate(capsys):
+    # 8 PB of fidelities is beyond any 47-bit address space, so the
+    # allocation fails at once without touching memory.
+    assert main(["--n", "1", "--trials", str(10 ** 15)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+
+
 # Runs in a fresh interpreter; prints whether scipy.special is loaded after each mode.
 SCIPY_PROBE = """
 import sys

@@ -60,7 +60,7 @@ from teleportsim.teleport import (
     teleport_branches,
 )
 
-from conftest import rand_state
+from conftest import clear_caches, rand_state
 
 
 def same_bits(x, y) -> bool:
@@ -153,9 +153,10 @@ def reference_measure(state, pair):
     ]
 
 
-def reference_walk(xi, resource, follow):
+def reference_walk(xi, resource, rng=None):
     """The walk building its register on every call: the input relabeled,
-    the n pairs tensored beside it, and the first pair left in place."""
+    the n pairs tensored beside it, and the first pair left in place. It
+    measures with reference_measure and, given `rng`, draws with draw_branch."""
     n = xi.n_qubits
     xs, ans, bs = protocol_labels(n)
     joint = with_labels(xi, xs)
@@ -166,7 +167,10 @@ def reference_walk(xi, resource, follow):
         pair = (xs[i], ans[i])
         deeper = []
         for outcomes, prob, state in level:
-            for kind, p, rem in follow(state, pair):
+            branches = reference_measure(state, pair)
+            if rng is not None:
+                branches = [draw_branch(branches, rng)]
+            for kind, p, rem in branches:
                 if rem is None:
                     raise RuntimeError(f"impossible branch {kind.value} on {pair} in the walk")
                 deeper.append((outcomes + (kind,), prob * p, rem))
@@ -236,7 +240,7 @@ def same_remainder(got, want) -> bool:
 
 @pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
 @pytest.mark.parametrize("n", range(1, 5))
-def test_reciprocal_scaling_matches_the_dividing_projection(n, resource):
+def test_reciprocal_scaling_matches_the_dividing_projection(n, resource, monkeypatch):
     # project_qubits scales by 1 / sqrt(p); the reference divides by sqrt(p).
     # The two differ only on a -0.0 part before scaling, which np.dot's sums
     # never produce. Every projection of every fixture walk keeps the bits.
@@ -248,10 +252,11 @@ def test_reciprocal_scaling_matches_the_dividing_projection(n, resource):
             assert same_remainder((p, rem), want)
         return branches
 
+    monkeypatch.setattr(teleport, "measure_bell_branches", checked)
     inputs = [fixture_state(name, n) for name in FIXTURE_NAMES]
     inputs.append(random_state(protocol_labels(n)[0], np.random.default_rng(10000 + n)))
     for xi in inputs:
-        assert len(teleport._walk(xi, resource, checked)) == 4 ** n
+        assert len(teleport._walk(xi, resource)) == 4 ** n
 
 
 @pytest.mark.parametrize("n", range(2, 16))
@@ -273,7 +278,7 @@ def test_enumeration_matches_reference_engine(n, resource):
     xs, _, _ = protocol_labels(n)
     xi = random_state(xs, np.random.default_rng(3000 + n))
     got = enumerate_protocol_branches(xi, resource)
-    want = reference_walk(xi, resource, reference_measure)
+    want = reference_walk(xi, resource)
     assert len(got) == len(want) == 4 ** n
     for (o1, p1, r1), (o2, p2, r2) in zip(got, want):
         assert o1 == o2
@@ -510,8 +515,7 @@ def test_interleaved_inputs_and_resources_never_share_a_register(n, monkeypatch)
 
 
 def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
-    harness.corrections_from_message.cache_clear()
-    harness._parties.cache_clear()
+    clear_caches()
     messages = [encode(seq) for n in (1, 2, 3) for seq in teleport.outcome_sequences(n)]
     # Filled one resource at a time, then read back alternating resources.
     calls = [(m, r) for r in BellState for m in messages]
@@ -534,13 +538,12 @@ def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
     for bad in ("011", "", "00" * 6):
         for _ in range(2):
             with pytest.raises(ValueError):
-                harness.corrections_from_message(bad)
+                harness.corrections_from_message(bad, BellState.PSI_MINUS)
 
     def sample(n):
         return run_campaign(CampaignConfig(n=n, trials=60, seed=11, mode="sample")).to_json()
 
-    harness.corrections_from_message.cache_clear()
-    harness._parties.cache_clear()
+    clear_caches()
     first = sample(2)
     for n in (3, 1, 5):
         sample(n)

@@ -1,0 +1,106 @@
+"""Faults the suite must catch.
+
+Each case injects one fault with monkeypatch and asserts the check that
+must fail: exit 1 from the command line, a changed pinned digest, or a
+named exception. Every fault is injected twice: on cold caches, and
+after a sound warm-up campaign has filled them. An injection is followed
+by clear_caches(), the one reset of every package cache, so no result
+computed before the fault can hide it.
+"""
+from __future__ import annotations
+
+import importlib
+import os
+import pkgutil
+
+import pytest
+
+import teleportsim
+from teleportsim import bell, harness, teleport
+from teleportsim.bell import BellState, draw_branch
+from teleportsim.cli import CampaignConfig, main, run_campaign
+
+from conftest import PACKAGE_CACHES, clear_caches
+from test_golden import GOLDEN as REPORTS, report_digest
+from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
+
+SAMPLE = ["--mode", "sample", "--n", "2", "--trials", "60", "--seed", "11", "--out", os.devnull]
+DERIVE = ("derive-table", 2, "random", 1, 0)
+SAMPLED = ("sample", 2, "random", 64, 13)
+
+
+@pytest.fixture(params=[False, True], ids=["cold", "after-warm-up"])
+def warm(request):
+    """Cold caches, or caches filled by a sound campaign; emptied again afterwards,
+    so no faulty result outlives its test."""
+    clear_caches()
+    if request.param:
+        assert not run_campaign(CampaignConfig(n=2, trials=60, seed=11)).failed
+    yield
+    clear_caches()
+
+
+def test_clear_caches_reaches_every_package_cache():
+    found = set()
+    for info in pkgutil.iter_modules(teleportsim.__path__):
+        module = importlib.import_module(f"teleportsim.{info.name}")
+        found |= {
+            obj for obj in vars(module).values()
+            if hasattr(obj, "cache_clear") and obj.__module__ == module.__name__
+        }
+    assert found == set(PACKAGE_CACHES)
+
+
+def test_swapped_psi_minus_rule_fails_the_campaign(warm, monkeypatch):
+    rule = teleport.PSI_MINUS_FACTORS
+    z, x = rule[BellState.PSI_PLUS], rule[BellState.PHI_MINUS]
+    monkeypatch.setitem(rule, BellState.PSI_PLUS, x)
+    monkeypatch.setitem(rule, BellState.PHI_MINUS, z)
+    clear_caches()
+    assert main(SAMPLE) == 1
+
+
+def test_flipped_bell_row_sign_fails_both_routes(warm, monkeypatch):
+    # phi+ becomes phi-: the engine corrects the wrong operator, and the
+    # oracle derives a table for the measurement it now makes.
+    row = bell._AMPLITUDES[BellState.PHI_PLUS].copy()
+    row[3] = -row[3]
+    monkeypatch.setitem(bell._AMPLITUDES, BellState.PHI_PLUS, row)
+    clear_caches()
+    assert main(SAMPLE) == 1
+    assert report_digest(*DERIVE) != REPORTS[DERIVE]
+
+
+def test_drawing_the_next_branch_changes_the_pinned_reports(warm, monkeypatch):
+    # Every branch is faithful, so the fidelity exit cannot see a wrong
+    # draw; the pinned report and transcript digests do.
+    def next_branch(branches, rng):
+        drawn = draw_branch(branches, rng)
+        i = next(i for i, b in enumerate(branches) if b is drawn)
+        return branches[(i + 1) % len(branches)]
+
+    monkeypatch.setattr(teleport, "draw_branch", next_branch)
+    clear_caches()
+    assert report_digest(*SAMPLED) != REPORTS[SAMPLED]
+    key = ("run_session", "psi-", 2)
+    assert transcript_digest(*key) != TRANSCRIPTS[key]
+
+
+def test_correction_cache_keyed_without_the_resource_changes_the_transcripts(
+    warm, monkeypatch
+):
+    # The first resource to send a message fixes its correction for all.
+    build, by_message = harness.corrections_from_message.__wrapped__, {}
+
+    def lookup(message, resource, /):
+        if message not in by_message:
+            by_message[message] = build(message, resource)
+        return by_message[message]
+
+    monkeypatch.setattr(harness, "corrections_from_message", lookup)
+    clear_caches()
+    # Every branch is drawn with probability 1/4, so a seed draws the same
+    # messages under every resource, and each resource's rule differs from
+    # psi-'s in every entry.
+    keys = [("run_session", r.value, 2) for r in BellState]
+    assert [transcript_digest(*k) == TRANSCRIPTS[k] for k in keys] == [True, False, False, False]

@@ -20,7 +20,7 @@ import json
 import numpy as np
 import pytest
 
-from teleportsim.bell import BellState, draw_branch, encode, measure_bell_branches
+from teleportsim.bell import BellState, encode
 from teleportsim.harness import run_session
 from teleportsim.qstate import random_state
 from teleportsim.teleport import (
@@ -156,10 +156,7 @@ def input_state(n: int):
 
 
 def engine_sampled_run(xi, seed, resource: BellState):
-    rng = np.random.default_rng(seed)
-    [(outcomes, prob, receiver)] = _walk(
-        xi, resource, lambda state, pair: [draw_branch(measure_bell_branches(state, pair), rng)]
-    )
+    [(outcomes, prob, receiver)] = _walk(xi, resource, np.random.default_rng(seed))
     corr = composed_correction(outcomes, resource)
     return _finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(outcomes))
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teleportsim.bell import BellState, bell_pair, decode
+from teleportsim.bell import BellState, decode
 from teleportsim.harness import (
     LocalityError,
     Party,
@@ -12,10 +12,10 @@ from teleportsim.harness import (
     corrections_from_message,
     run_session,
 )
-from teleportsim.qstate import make_state, tensor
+from teleportsim.qstate import make_state
 from teleportsim.teleport import protocol_labels, teleport_branches
 
-from conftest import TOL, rand_state
+from conftest import TOL, clear_caches, rand_state
 
 
 @pytest.fixture
@@ -45,13 +45,24 @@ def test_message_carries_two_bits_per_pair(phi):
 def test_correction_is_pure_function_of_message(phi):
     for seed in range(8):
         t = run_session(phi, seed=seed)
-        assert corrections_from_message(t.message) == t.corrections
+        assert corrections_from_message(t.message, BellState.PSI_MINUS) == t.corrections
 
 
 def test_default_and_explicit_resource_share_one_cached_correction(phi):
     t = run_session(phi, seed=3)
-    assert corrections_from_message(t.message) is t.corrections
     assert corrections_from_message(t.message, BellState.PSI_MINUS) is t.corrections
+
+
+def test_correction_cache_holds_one_entry_per_message_and_resource(phi):
+    clear_caches()
+    drawn = set()
+    for resource in (BellState.PSI_MINUS, BellState.PHI_PLUS):
+        for seed in range(60):
+            drawn.add((run_session(phi, seed, resource).message, resource))
+    assert corrections_from_message.cache_info().currsize == len(drawn)
+    # Positional-only: a keyword call cannot make a second key for one pair.
+    with pytest.raises(TypeError):
+        corrections_from_message("01", resource=BellState.PHI_PLUS)
 
 
 def test_session_accepts_alternate_resource(phi):
@@ -86,33 +97,29 @@ def test_sessions_land_on_enumerated_branches(phi):
 
 
 def test_receiver_cannot_measure_senders_pair():
-    _, ans, bs = protocol_labels(1)
+    xs, ans, bs = protocol_labels(1)
     receiver = Party(Role.RECEIVER, frozenset(bs))
-    u = make_state(("x1",), [0.6, 0.8])
-    joint = tensor(u, bell_pair(BellState.PSI_MINUS, ans[0], bs[0]))
     with pytest.raises(LocalityError, match="receiver does not own"):
-        receiver.measure_pair(joint, ("x1", "a1"), np.random.default_rng(0))
+        receiver.check_owns((xs[0], ans[0]))
 
 
 def test_sender_cannot_correct_receivers_qubit():
     xs, ans, _ = protocol_labels(1)
     sender = Party(Role.SENDER, frozenset(xs) | frozenset(ans))
     with pytest.raises(LocalityError, match="sender does not own"):
-        sender.apply_correction(
-            make_state(("b1",), [1, 0]), corrections_from_message("01")
-        )
+        sender.check_owns(corrections_from_message("01", BellState.PSI_MINUS).qubits)
 
 
 def test_message_validation():
     with pytest.raises(ValueError, match="even-length bit string"):
-        corrections_from_message("011")
+        corrections_from_message("011", BellState.PSI_MINUS)
     with pytest.raises(ValueError, match="even-length bit string"):
-        corrections_from_message("0a")
+        corrections_from_message("0a", BellState.PSI_MINUS)
     # Well-formed bits, but no session sends them: zero pairs, or more than five.
     with pytest.raises(ValueError, match=r"message: n must be 1\.\.5, got 0"):
-        corrections_from_message("")
+        corrections_from_message("", BellState.PSI_MINUS)
     with pytest.raises(ValueError, match=r"message: n must be 1\.\.5, got 7"):
-        corrections_from_message("01" * 7)
+        corrections_from_message("01" * 7, BellState.PSI_MINUS)
     assert decode("0111") == (
         BellState.PSI_PLUS,
         BellState.PHI_PLUS,

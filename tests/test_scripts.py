@@ -43,6 +43,13 @@ def test_missing_input_file_exits_2_with_a_message(capsys, tmp_path):
     assert err.startswith("error: ") and str(missing) in err
 
 
+def test_uniformity_campaign_reports_trials_too_many_to_allocate(capsys):
+    # 8 PB of fidelities: the first campaign's allocation fails at once.
+    assert load("uniformity_campaign").main(["--n", "1", "--trials", str(10 ** 15)]) == 2
+    _, err = capsys.readouterr()
+    assert err.startswith("error: Unable to allocate")
+
+
 def test_uniformity_campaign_runs(capsys):
     assert load("uniformity_campaign").main(["--n", "1", "--trials", "40", "--seeds", "2"]) == 0
     out, err = capsys.readouterr()
