@@ -37,11 +37,13 @@ def sweep(args: argparse.Namespace) -> int:
     ]
     if args.input != "random":
         resolve_input(configs[0], None)
-    print(f"n={args.n} trials={args.trials} input={args.input}")
-    print(f"{'seed':>6} {'chi2':>10} {'p':>8} {'min fid':>22}")
     failures = 0
     for cfg in configs:
         report = run_campaign(cfg)
+        if cfg is configs[0]:
+            # Only a sweep whose first campaign ran gets a header.
+            print(f"n={args.n} trials={args.trials} input={args.input}")
+            print(f"{'seed':>6} {'chi2':>10} {'p':>8} {'min fid':>22}")
         flag = ""
         if report.failed:
             failures += 1

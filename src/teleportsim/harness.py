@@ -1,19 +1,17 @@
 """Two-party protocol harness.
 
-Both parties run in one process over a shared state vector, behind an
-ownership-checked facade: the sender may only measure qubits it owns, the
-receiver may only correct qubits it owns, and the receiver's corrections
-are a pure function of the classical message bits. Nothing else crosses
-the boundary, so erasing the sender's side after the message is emitted
-cannot change the receiver's result.
+Both parties run in one process over a shared state vector. The only
+thing that crosses from sender to receiver is the classical message: the
+receiver's correction is a pure function of its bits and the resource,
+and applying it rejects a factor outside the receiver's register, which
+is all the walk leaves. Erasing the sender's side after the message is
+emitted therefore cannot change the receiver's result.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
-from enum import Enum
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -27,37 +25,7 @@ from .teleport import (
     _walk,
     check_width,
     composed_correction,
-    protocol_labels,
 )
-
-
-class Role(Enum):
-    SENDER = "sender"
-    RECEIVER = "receiver"
-
-
-class LocalityError(RuntimeError):
-    """A party acted on a qubit it does not own."""
-
-
-@dataclass(frozen=True)
-class Party:
-    role: Role
-    owned: frozenset[str]
-
-    def check_owns(self, qubits: Sequence[str]) -> None:
-        if not self.owned.issuperset(qubits):
-            missing = set(qubits) - self.owned
-            raise LocalityError(
-                f"{self.role.value} does not own {sorted(missing)}"
-            )
-
-
-@functools.lru_cache(maxsize=MAX_PROTOCOL_WIDTH)
-def _parties(n: int) -> tuple[Party, Party]:
-    """A width-n session's sender and receiver, built once per width."""
-    xs, ans, bs = protocol_labels(n)
-    return Party(Role.SENDER, frozenset(xs + ans)), Party(Role.RECEIVER, frozenset(bs))
 
 
 # A pure function of immutable arguments; 1024 entries hold every width-5 message.
@@ -151,15 +119,9 @@ def run_session(
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
 
-    n = xi.n_qubits
-    xs, ans, _ = protocol_labels(n)
-    sender, receiver = _parties(n)
-    # The walk measures exactly the pairs (x_i, a_i) of these labels.
-    sender.check_owns(xs + ans)
     [(outcomes, prob, state)] = _walk(xi, resource, rng)
 
     # The sender's register is fully consumed; only these bits cross over.
     message = encode(outcomes)
     correction = corrections_from_message(message, resource)
-    receiver.check_owns(correction.qubits)
     return _finish(xi, outcomes, prob, correction.apply(state), resource, correction, message)

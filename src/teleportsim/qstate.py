@@ -263,6 +263,11 @@ def parse_state_literal(text: str) -> StateVector:
     if not rows:
         raise StateFormatError("empty state literal")
     labels = tuple(rows[0][1].split())
+    # Checked before any row is read, so an over-wide literal names the cap.
+    if len(labels) > MAX_QUBITS:
+        raise StateFormatError(
+            f"register of {len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap"
+        )
     expected = 2 ** len(labels)
     amps = []
     for lineno, row in rows[1:]:

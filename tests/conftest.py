@@ -19,7 +19,6 @@ PACKAGE_CACHES = (
     teleport._joint,
     teleport._candidate_gathers,
     pauli.signed_permutation,
-    harness._parties,
     harness.corrections_from_message,
 )
 

@@ -319,6 +319,16 @@ def test_main_reports_usage_errors(capsys, tmp_path):
     assert "zero state vector" in capsys.readouterr().err
 
 
+def test_main_rejects_a_literal_wider_than_the_cap(capsys, tmp_path):
+    # 40 labels would ask for 2^40 rows; the cap is named before any is read.
+    wide = tmp_path / "wide.txt"
+    wide.write_text(" ".join(f"q{i}" for i in range(1, 41)) + "\n1,0\n")
+    assert main(["--n", "2", "--input", str(wide)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: register of 40 qubits exceeds the 16-qubit cap\n"
+
+
 def test_main_reports_trials_too_many_to_allocate(capsys):
     # 8 PB of fidelities is beyond any 47-bit address space, so the
     # allocation fails at once without touching memory.

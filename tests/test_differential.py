@@ -456,7 +456,6 @@ def reference_session(monkeypatch, xi, seed, resource):
         m.setattr(harness, "_walk", reference_walk)
         # The builders behind the caches, called afresh every session.
         m.setattr(harness, "corrections_from_message", harness.corrections_from_message.__wrapped__)
-        m.setattr(harness, "_parties", harness._parties.__wrapped__)
         return harness.run_session(xi, seed, resource)
 
 

@@ -13,12 +13,15 @@ import importlib
 import os
 import pkgutil
 
+import numpy as np
 import pytest
 
 import teleportsim
 from teleportsim import bell, harness, teleport
 from teleportsim.bell import BellState, draw_branch
 from teleportsim.cli import CampaignConfig, main, run_campaign
+from teleportsim.pauli import PauliFactor, PauliString
+from teleportsim.qstate import random_state
 
 from conftest import PACKAGE_CACHES, clear_caches
 from test_golden import GOLDEN as REPORTS, report_digest
@@ -27,6 +30,7 @@ from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
 SAMPLE = ["--mode", "sample", "--n", "2", "--trials", "60", "--seed", "11", "--out", os.devnull]
 DERIVE = ("derive-table", 2, "random", 1, 0)
 SAMPLED = ("sample", 2, "random", 64, 13)
+SESSION_INPUT = random_state(("x1", "x2"), np.random.default_rng(17))
 
 
 @pytest.fixture(params=[False, True], ids=["cold", "after-warm-up"])
@@ -104,3 +108,34 @@ def test_correction_cache_keyed_without_the_resource_changes_the_transcripts(
     # psi-'s in every entry.
     keys = [("run_session", r.value, 2) for r in BellState]
     assert [transcript_digest(*k) == TRANSCRIPTS[k] for k in keys] == [True, False, False, False]
+
+
+def test_correction_on_a_sender_qubit_is_rejected(warm, monkeypatch):
+    # The walk leaves a state on b1..bn alone, so a factor on the sender's
+    # a1 has no qubit to act on and apply must refuse it.
+    build = harness.corrections_from_message.__wrapped__
+
+    def reaching(message, resource, /):
+        correction = build(message, resource)
+        return PauliString(correction.factors + (("a1", PauliFactor.X),), correction.phase)
+
+    monkeypatch.setattr(harness, "corrections_from_message", reaching)
+    clear_caches()
+    with pytest.raises(ValueError, match="'a1'"):
+        harness.run_session(SESSION_INPUT, 5)
+
+
+def test_measuring_the_receivers_half_is_rejected(warm, monkeypatch):
+    # (x_i, b_i) in place of (x_i, a_i): the receiver's qubits are consumed
+    # and the sender's a_i left behind, which no correction or reorder accepts.
+    measure = teleport.measure_bell_branches
+    _, ans, bs = teleport.protocol_labels(2)
+
+    def crossed(state, pair):
+        x, a = pair
+        return measure(state, (x, bs[ans.index(a)]))
+
+    monkeypatch.setattr(teleport, "measure_bell_branches", crossed)
+    clear_caches()
+    with pytest.raises(ValueError):
+        harness.run_session(SESSION_INPUT, 5)

@@ -1,19 +1,13 @@
-"""Two-party sessions: determinism, message purity, ownership boundaries."""
+"""Two-party sessions: determinism, message purity, the message boundary."""
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
 from teleportsim.bell import BellState, decode
-from teleportsim.harness import (
-    LocalityError,
-    Party,
-    Role,
-    corrections_from_message,
-    run_session,
-)
+from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.qstate import make_state
-from teleportsim.teleport import protocol_labels, teleport_branches
+from teleportsim.teleport import teleport_branches
 
 from conftest import TOL, clear_caches, rand_state
 
@@ -94,20 +88,6 @@ def test_sessions_land_on_enumerated_branches(phi):
         assert t.to_dict() == branches[t.message]
         seen.add(t.message)
     assert len(seen) > 8
-
-
-def test_receiver_cannot_measure_senders_pair():
-    xs, ans, bs = protocol_labels(1)
-    receiver = Party(Role.RECEIVER, frozenset(bs))
-    with pytest.raises(LocalityError, match="receiver does not own"):
-        receiver.check_owns((xs[0], ans[0]))
-
-
-def test_sender_cannot_correct_receivers_qubit():
-    xs, ans, _ = protocol_labels(1)
-    sender = Party(Role.SENDER, frozenset(xs) | frozenset(ans))
-    with pytest.raises(LocalityError, match="sender does not own"):
-        sender.check_owns(corrections_from_message("01", BellState.PSI_MINUS).qubits)
 
 
 def test_message_validation():

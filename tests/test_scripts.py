@@ -46,7 +46,8 @@ def test_missing_input_file_exits_2_with_a_message(capsys, tmp_path):
 def test_uniformity_campaign_reports_trials_too_many_to_allocate(capsys):
     # 8 PB of fidelities: the first campaign's allocation fails at once.
     assert load("uniformity_campaign").main(["--n", "1", "--trials", str(10 ** 15)]) == 2
-    _, err = capsys.readouterr()
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: Unable to allocate")
 
 
