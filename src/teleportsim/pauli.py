@@ -1,9 +1,9 @@
 """Pauli correction algebra: per-qubit factors, labeled products, tokens.
 
 A correction is a product of single-qubit factors from {I, X, Z, ZX},
-each attached to one qubit, together with a unit scalar phase. ZX means
-"apply X, then Z". Factors on distinct qubits commute, so a PauliString
-stores at most one factor per qubit.
+each attached to one qubit, together with a phase of exactly +-1 or +-i.
+ZX means "apply X, then Z". Factors on distinct qubits commute, so a
+PauliString stores at most one factor per qubit.
 
 Every factor product is a signed permutation of the computational basis,
 as in a stabilizer tableau, so a string is applied by one index gather.
@@ -19,7 +19,6 @@ import numpy as np
 
 from .qstate import (
     IDENTITY_GATE,
-    PHASE_TOL,
     X_GATE,
     Z_GATE,
     ZX_GATE,
@@ -29,10 +28,20 @@ from .qstate import (
 
 
 class PauliFactor(Enum):
+    """Z^z X^x, named by its (x, z) bits: I (0, 0), X (1, 0), Z (0, 1), ZX (1, 1)."""
+
     I = "I"
     X = "X"
     Z = "Z"
     ZX = "ZX"
+
+    @property
+    def x(self) -> int:
+        return int("X" in self.value)
+
+    @property
+    def z(self) -> int:
+        return int("Z" in self.value)
 
     @property
     def matrix(self) -> np.ndarray:
@@ -40,8 +49,8 @@ class PauliFactor(Enum):
 
     @property
     def op_count(self) -> int:
-        # ZX costs two elementary single-qubit operations, I costs none.
-        return _OP_COUNTS[self]
+        # One elementary single-qubit operation per set bit; I costs none.
+        return self.x + self.z
 
 
 _GATES = {
@@ -50,8 +59,9 @@ _GATES = {
     PauliFactor.Z: Z_GATE,
     PauliFactor.ZX: ZX_GATE,
 }
-_OP_COUNTS = {PauliFactor.I: 0, PauliFactor.X: 1, PauliFactor.Z: 1, PauliFactor.ZX: 2}
 _PHASE_TOKENS = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j, "1": 1, "i": 1j}
+# The exact phases a string may carry, and how tokens() writes them.
+_PHASE_NAMES = {1: "+1", -1: "-1", 1j: "+i", -1j: "-i"}
 
 
 # 1024 entries hold every factor string on a five-qubit register.
@@ -76,18 +86,6 @@ def signed_permutation(factors: tuple[PauliFactor, ...]) -> tuple[np.ndarray, np
     return perm, sign
 
 
-def canonical_factor(matrix: np.ndarray) -> tuple[PauliFactor, complex]:
-    """Write a 2x2 matrix as phase * factor with factor in {I, X, Z, ZX}."""
-    m = np.asarray(matrix, dtype=complex)
-    for f in PauliFactor:
-        ref = f.matrix
-        k = int(np.argmax(np.abs(ref)))
-        c = m.flat[k] / ref.flat[k]
-        if abs(abs(c) - 1) < PHASE_TOL and np.allclose(m, c * ref, atol=PHASE_TOL):
-            return f, complex(c)
-    raise ValueError("matrix is not a unit multiple of a correction factor")
-
-
 @dataclass(frozen=True)
 class PauliString:
     """Phase times a product of factors on distinct qubits.
@@ -105,6 +103,8 @@ class PauliString:
             raise ValueError(f"repeated qubit in factors {self.factors}")
         if any(f is PauliFactor.I for _, f in self.factors):
             raise ValueError("identity factors must be omitted, not stored")
+        if self.phase not in _PHASE_NAMES:
+            raise ValueError(f"phase {self.phase!r} is not exactly 1, -1, 1j or -1j")
 
     @classmethod
     def from_pairs(
@@ -151,27 +151,19 @@ class PauliString:
         return out
 
     def tokens(self) -> str:
-        parts = []
+        parts = [f"{f.value}@{q}" for q, f in self.factors] or ["I"]
         if self.phase != 1:
-            for tok, val in (("-1", -1), ("+i", 1j), ("-i", -1j)):
-                if abs(self.phase - val) < PHASE_TOL:
-                    parts.append(tok)
-                    break
-            else:
-                raise ValueError(f"phase {self.phase} has no token form")
-        parts.extend(f"{f.value}@{q}" for q, f in self.factors)
-        if not self.factors:
-            parts.append("I")
+            parts.insert(0, _PHASE_NAMES[self.phase])
         return " ".join(parts)
 
 
 def parse_pauli_tokens(text: str) -> PauliString:
     """Parse tokens like 'Z@b1 X@b2'. Tokens apply right-to-left; repeated
-    factors on one qubit are composed and canonicalized, with the resulting
-    sign folded into the phase. A leading +1/-1/+i/-i token sets the phase."""
+    factors on one qubit are composed exactly, with the resulting sign
+    folded into the phase. Every +1/-1/+i/-i token multiplies the phase,
+    wherever it stands: "Z@b1 -1" parses to "-1 Z@b1"."""
     phase = complex(1.0)
-    mats: dict[str, np.ndarray] = {}
-    order: list[str] = []
+    bits: dict[str, tuple[int, int]] = {}
     for tok in text.split():
         if tok in _PHASE_TOKENS:
             phase *= _PHASE_TOKENS[tok]
@@ -181,15 +173,13 @@ def parse_pauli_tokens(text: str) -> PauliString:
         name, _, qubit = tok.partition("@")
         if not qubit or name not in PauliFactor.__members__:
             raise ValueError(f"bad correction token {tok!r}")
-        if qubit not in mats:
-            mats[qubit] = np.eye(2, dtype=complex)
-            order.append(qubit)
-        # Written left-to-right, applied right-to-left: accumulate on the right.
-        mats[qubit] = mats[qubit] @ PauliFactor[name].matrix
-    pairs = []
-    for q in order:
-        f, c = canonical_factor(mats[q])
-        phase *= c
-        if f is not PauliFactor.I:
-            pairs.append((q, f))
-    return PauliString(tuple(pairs), phase)
+        f = PauliFactor[name]
+        x, z = bits.get(qubit, (0, 0))
+        # Written left-to-right, applied right-to-left: compose on the right,
+        # (Z^z X^x)(Z^z' X^x') = (-1)^(x z') Z^(z ^ z') X^(x ^ x'), since X and
+        # Z anticommute and each squares to I.
+        if x and f.z:
+            phase = -phase
+        bits[qubit] = (x ^ f.x, z ^ f.z)
+    pairs = ((q, PauliFactor("Z" * z + "X" * x or "I")) for q, (x, z) in bits.items())
+    return PauliString.from_pairs(pairs, phase)

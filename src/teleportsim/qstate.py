@@ -18,7 +18,6 @@ NORM_TOL = 1e-12
 # instead of being renormalized into a garbage remainder.
 IMPOSSIBLE_PROB = 1e-14
 FIDELITY_TOL = 1e-12  # the paper's contract: every corrected branch reaches 1 - this
-PHASE_TOL = 1e-9  # phases and Pauli entries are exactly 0, +-1 or +-i up to rounding
 PROB_SUM_TOL = 1e-9  # branch probabilities summing further from 1 mean a bug
 SOLVE_TOL = 1e-9  # a correct candidate reaches 1 - this; a wrong one scores 0 on some fiducial
 EXIT_FIDELITY_TOL = 1e-9  # the CLI's failure line: broken corrections fall far below it

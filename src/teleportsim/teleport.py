@@ -37,7 +37,6 @@ from . import reference
 from .qstate import (
     FIDELITY_TOL,
     MAX_QUBITS,
-    PHASE_TOL,
     SOLVE_TOL,
     StateVector,
     computational_basis_state,
@@ -533,7 +532,7 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
         d, r = derived.entries[seq], ref.entries[seq]
         if dict(d.factors) != dict(r.factors):
             verdict = VERDICT_OPERATOR
-        elif abs(d.phase - r.phase) < PHASE_TOL:
+        elif d.phase == r.phase:
             verdict = VERDICT_MATCH
         else:
             verdict = VERDICT_PHASE

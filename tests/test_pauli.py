@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from teleportsim.pauli import (
     PauliFactor,
     PauliString,
-    canonical_factor,
     parse_pauli_tokens,
     signed_permutation,
 )
@@ -32,6 +31,15 @@ def test_op_counts():
     assert PauliFactor.X.op_count == 1
     assert PauliFactor.Z.op_count == 1
     assert PauliFactor.ZX.op_count == 2
+
+
+def test_factor_bits_name_its_matrix():
+    # Each factor is Z^z X^x for its own (x, z) bits.
+    assert [(f.x, f.z) for f in PauliFactor] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    x, z = PauliFactor.X.matrix, PauliFactor.Z.matrix
+    power = np.linalg.matrix_power
+    for f in PauliFactor:
+        assert np.array_equal(power(z, f.z) @ power(x, f.x), f.matrix), f
 
 
 def test_from_pairs_drops_identities():
@@ -55,6 +63,21 @@ def test_apply_zx():
     zero = computational_basis_state(("q",), 0)
     p = PauliString.from_pairs([("q", PauliFactor.ZX)])
     assert p.apply(zero).amplitude("1") == 1.0
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PauliString.from_pairs([("q", PauliFactor.X)], 0.5),
+        lambda: PauliString(phase=1 + 1e-10),
+    ],
+    ids=["half", "near-one"],
+)
+def test_a_phase_other_than_a_unit_is_rejected(build):
+    # A phase of 0.5 would shrink the norm through apply; one of 1 + 1e-10
+    # would have no token form. Both fail where the string is built.
+    with pytest.raises(ValueError, match="not exactly 1, -1, 1j or -1j"):
+        build()
 
 
 def test_apply_phase_scales_amplitudes():
@@ -153,10 +176,18 @@ def test_parse_composes_same_qubit_right_to_left():
     # "X@b1 Z@b1" means apply Z first, then X: the matrix X Z = -ZX.
     p = parse_pauli_tokens("X@b1 Z@b1")
     assert p.factor_for("b1") is PauliFactor.ZX
-    assert p.phase == pytest.approx(-1)
+    assert p.phase == -1
     q = parse_pauli_tokens("Z@b1 X@b1")
     assert q.factor_for("b1") is PauliFactor.ZX
-    assert q.phase == pytest.approx(1)
+    assert q.phase == 1
+
+
+@pytest.mark.parametrize("f, g", itertools.product(PauliFactor, repeat=2))
+def test_parse_composes_every_factor_pair_exactly(f, g):
+    # Z^z X^x times Z^z' X^x' is (-1)^(x z') Z^(z ^ z') X^(x ^ x'), exactly.
+    p = parse_pauli_tokens(f"{f.value}@q {g.value}@q")
+    h = p.factor_for("q")
+    assert np.array_equal(p.phase * h.matrix, f.matrix @ g.matrix)
 
 
 def test_parse_rejects_garbage():
@@ -164,11 +195,3 @@ def test_parse_rejects_garbage():
         parse_pauli_tokens("Y@b1")
     with pytest.raises(ValueError, match="bad correction token"):
         parse_pauli_tokens("Xb1")
-
-
-def test_canonical_factor_recognizes_phased_matrices():
-    f, c = canonical_factor(1j * PauliFactor.X.matrix)
-    assert f is PauliFactor.X
-    assert c == pytest.approx(1j)
-    with pytest.raises(ValueError, match="not a unit multiple"):
-        canonical_factor(np.array([[1, 1], [1, -1]]) / np.sqrt(2))

@@ -82,3 +82,28 @@ def test_certify_tables_reports_the_fixture_mismatches(capsys):
         "width 3 vs composed rule: "
         "{'match': 64, 'phase_only_mismatch': 0, 'operator_mismatch': 0}"
     )
+
+
+def test_certify_tables_all_rows_prints_every_row(capsys):
+    # --all-rows prints the matching rows too: 4 + 16 rows under two headers.
+    # The fixture's "X@b1 Z@b1" composes to -ZX, so rows 0011 and 0111 differ
+    # from the oracle by their phase alone.
+    assert load("certify_tables").main(["1", "2", "--all-rows"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == (
+        "width 1 vs fixture: {'match': 4, 'phase_only_mismatch': 0, 'operator_mismatch': 0}"
+    )
+    assert lines[5] == (
+        "width 2 vs fixture: {'match': 5, 'phase_only_mismatch': 2, 'operator_mismatch': 9}"
+    )
+    rows = [line.split()[:2] for line in lines[1:5] + lines[6:]]
+    assert [code for code, _ in rows] == [f"{i:02b}" for i in range(4)] + [
+        f"{i:04b}" for i in range(16)
+    ]
+    assert all(verdict == "[match]" for _, verdict in rows[:4])
+    verdicts = [verdict for _, verdict in rows[4:]]
+    assert verdicts.count("[match]") == 5 and verdicts.count("[operator_mismatch]") == 9
+    assert [code for code, verdict in rows if verdict == "[phase_only_mismatch]"] == [
+        "0011",
+        "0111",
+    ]
