@@ -17,6 +17,19 @@ from .teleport import (
 )
 from .harness import run_session
 from .cli import CampaignConfig, run_campaign
+from . import harness, pauli, qstate, teleport
+
+# Every memo cache. Gather forms live on the strings corrections_from_message holds.
+PACKAGE_CACHES = (qstate._transpose, pauli.signed_permutation, teleport.protocol_labels,
+                  teleport.base_factor_map, teleport._joint, teleport._candidate_gathers,
+                  harness.corrections_from_message)
+
+
+def clear_caches() -> None:
+    """Empty every package cache, so the next call recomputes from the code as it is."""
+    for cached in PACKAGE_CACHES:
+        cached.cache_clear()
+
 
 __version__ = "0.1.0"
 
@@ -38,5 +51,6 @@ __all__ = [
     "run_session",
     "CampaignConfig",
     "run_campaign",
+    "clear_caches",
     "__version__",
 ]

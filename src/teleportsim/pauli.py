@@ -96,6 +96,7 @@ class PauliString:
 
     factors: tuple[tuple[str, PauliFactor], ...] = ()
     phase: complex = field(default=1.0 + 0j)
+    _gathers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         qubits = [q for q, _ in self.factors]
@@ -128,16 +129,26 @@ class PauliString:
                 return f
         return PauliFactor.I
 
-    def gather(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The string's one array form on the qubit order (first = MSB), the
-        phase folded into the signs: (P a)[i] == signs[i] * a[perm[i]]."""
+    def _on(self, order: tuple[str, ...]) -> tuple[PauliFactor, ...]:
+        """The factor on each qubit of `order`; one outside it raises, not vanishes."""
         by_qubit = dict(self.factors)
-        # A factor outside the register must raise, not vanish from the gather.
         for q in by_qubit:
             if q not in order:
-                raise ValueError(f"unknown qubit {q!r}; register is {tuple(order)}")
-        perm, sign = signed_permutation(tuple(by_qubit.get(q, PauliFactor.I) for q in order))
-        return perm, sign * self.phase
+                raise ValueError(f"unknown qubit {q!r}; register is {order}")
+        return tuple(by_qubit.get(q, PauliFactor.I) for q in order)
+
+    def gather(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The string's one array form on the qubit order (first = MSB), the phase in
+        the signs: (P a)[i] == signs[i] * a[perm[i]]. Read-only, kept once per order."""
+        order = tuple(order)
+        form = self._gathers.get(order)
+        if form is None:
+            perm, signs = signed_permutation(self._on(order))
+            if self.phase != 1:
+                signs = signs * self.phase
+                signs.setflags(write=False)
+            form = self._gathers[order] = (perm, signs)
+        return form
 
     def apply(self, state: StateVector) -> StateVector:
         perm, signs = self.gather(state.qubits)
@@ -146,8 +157,8 @@ class PauliString:
     def matrix(self, qubit_order: Sequence[str]) -> np.ndarray:
         """Full operator on the given qubit ordering (first qubit = MSB)."""
         out = np.array([[self.phase]], dtype=complex)
-        for q in qubit_order:
-            out = np.kron(out, self.factor_for(q).matrix)
+        for f in self._on(tuple(qubit_order)):
+            out = np.kron(out, f.matrix)
         return out
 
     def tokens(self) -> str:

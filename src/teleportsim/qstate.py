@@ -7,6 +7,7 @@ index, so amps[0b10] of a register (q1, q2) is the amplitude of
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -175,16 +176,21 @@ def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateV
     return _state(state.qubits, t.reshape(-1))
 
 
+@functools.lru_cache(maxsize=256)
+def _transpose(qubits: tuple[str, ...], new_order: tuple[str, ...]) -> tuple[tuple, tuple]:
+    """reorder's (shape, axes), keyed by labels only; a raise is not cached."""
+    if len(new_order) != len(qubits) or set(new_order) != set(qubits):
+        raise ValueError(f"{new_order} is not a permutation of {qubits}")
+    return (2,) * len(qubits), tuple(map(qubits.index, new_order))
+
+
 def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
     """Permute the register so its qubits appear in new_order."""
     new_order = tuple(new_order)
-    if len(new_order) != state.n_qubits or set(new_order) != set(state.qubits):
-        raise ValueError(f"{new_order} is not a permutation of {state.qubits}")
     if new_order == state.qubits:
         return state
-    axes = list(map(state.qubits.index, new_order))
-    t = state.amps.reshape([2] * state.n_qubits).transpose(axes)
-    return _state(new_order, t.reshape(-1))
+    shape, axes = _transpose(state.qubits, new_order)
+    return _state(new_order, state.amps.reshape(shape).transpose(axes).reshape(-1))
 
 
 def fidelity(a: StateVector, b: StateVector) -> float:
@@ -217,8 +223,8 @@ def project_qubits(
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate projection targets in {targets}")
     k = len(targets)
-    if np.shape(onto) != (2 ** k,):
-        raise ValueError(f"projector has shape {np.shape(onto)}, not ({2 ** k},)")
+    if onto.shape != (2 ** k,):
+        raise ValueError(f"projector has shape {onto.shape}, not ({2 ** k},)")
     if state.qubits[:k] == targets:
         t = state.amps.reshape(2 ** k, -1)
         keep = state.qubits[k:]
@@ -227,7 +233,7 @@ def project_qubits(
         rest = [i for i in range(state.n_qubits) if i not in axes]
         t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
         keep = tuple(state.qubits[i] for i in rest)
-    rem = np.dot(np.conj(onto), t)
+    rem = np.dot(onto.conj(), t)
     prob = float(np.vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None

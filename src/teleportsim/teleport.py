@@ -469,7 +469,6 @@ def _validate_table(table: CorrectionTable) -> None:
     rng = np.random.default_rng(VALIDATION_SEED)
     xs, _, bs = protocol_labels(table.n)
     seqs = list(outcome_sequences(table.n))
-    # Stacked in one statement, so the per-entry forms are not held through the walks.
     perms, signs = map(np.stack, zip(*[table.entry(seq).gather(bs) for seq in seqs]))
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)

@@ -7,26 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from teleportsim import harness, pauli, teleport
 from teleportsim.qstate import make_state
 
 TOL = 1e-12
-
-# Every memo cache in the package; test_faults checks that none is missing.
-PACKAGE_CACHES = (
-    teleport.protocol_labels,
-    teleport.base_factor_map,
-    teleport._joint,
-    teleport._candidate_gathers,
-    pauli.signed_permutation,
-    harness.corrections_from_message,
-)
-
-
-def clear_caches() -> None:
-    """Empty every package cache, so the next call recomputes from the code as it is."""
-    for cached in PACKAGE_CACHES:
-        cached.cache_clear()
 
 
 def labels(n: int, prefix: str = "q") -> tuple[str, ...]:

@@ -8,8 +8,9 @@ The references below are the earlier engine kept as test-local copies:
 measurement on the unreordered register, validation by
 `PauliString.apply` and `fidelity` one branch at a time, the solver
 scoring all 4^n candidates on every fiducial row, the walk building
-its 3n-qubit register on every call, and the session composing its
-correction and its two parties on every call.
+its 3n-qubit register on every call, the session composing its
+correction on every call, and reorder finding its transpose axes afresh
+on every call.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import re
 import numpy as np
 import pytest
 
-from teleportsim import harness, teleport
+from teleportsim import clear_caches, harness, teleport
 from teleportsim.bell import (
     BellState,
     bell_pair,
@@ -60,7 +61,7 @@ from teleportsim.teleport import (
     teleport_branches,
 )
 
-from conftest import clear_caches, rand_state
+from conftest import rand_state
 
 
 def same_bits(x, y) -> bool:
@@ -270,6 +271,80 @@ def test_bell_measurement_matches_four_projections(n):
         assert [kind for kind, _, _ in got] == [kind for kind, _, _ in want]
         for (_, *g), (_, *w) in zip(got, want):
             assert_same(g, w)
+
+
+# --- label-keyed caches ----------------------------------------------------
+
+
+def reference_reorder(state, new_order):
+    """reorder's transpose with its axes found afresh on every call."""
+    axes = [state.qubits.index(q) for q in new_order]
+    t = state.amps.reshape([2] * state.n_qubits).transpose(axes)
+    return _state(tuple(new_order), t.reshape(-1))
+
+
+def test_reorder_matches_an_uncached_transpose():
+    # Registers of 1..6 qubits share their labels, each held in several
+    # orders, and take turns, so most calls find the caches warm from
+    # other registers, other orders of one register, and other targets.
+    rng = np.random.default_rng(11000)
+    states = [rand_state(rng, n) for n in range(1, 7)]
+
+    def shuffled(s):
+        return tuple(s.qubits[i] for i in rng.permutation(s.n_qubits))
+
+    states = [reference_reorder(s, shuffled(s)) for s in states for _ in range(3)]
+    for _ in range(600):
+        s = states[rng.integers(len(states))]
+        order = shuffled(s)
+        got, want = reorder(s, order), reference_reorder(s, order)
+        assert got.qubits == want.qubits == order
+        assert same_bits(got.amps, want.amps)
+
+
+def test_bell_measurement_matches_reference_after_other_widths():
+    # Each width is measured on every ordered pair twice, the caches warmed
+    # in between by the other widths' registers.
+    rng = np.random.default_rng(12000)
+    states = [rand_state(rng, n) for n in (5, 2, 6, 3, 4)]
+    for s in states + states:
+        for pair in itertools.permutations(s.qubits, 2):
+            got, want = measure_bell_branches(s, pair), reference_measure(s, pair)
+            assert [kind for kind, _, _ in got] == [kind for kind, _, _ in want]
+            for (_, *g), (_, *w) in zip(got, want):
+                assert_same(g, w)
+
+
+def test_one_string_keeps_a_gather_form_per_order():
+    p = PauliString.from_pairs([("b1", PauliFactor.X), ("b2", PauliFactor.Z)], -1j)
+    kept = {}
+    for order in [("b1", "b2"), ("b2", "b1")] * 2:
+        perm, signs = p.gather(order)
+        assert not perm.flags.writeable and not signs.flags.writeable
+        # (P a)[i] == signs[i] * a[perm[i]]: row i of the dense P holds signs[i] at perm[i].
+        dense = np.zeros((4, 4), dtype=complex)
+        dense[np.arange(4), perm] = signs
+        assert np.array_equal(dense, p.matrix(order))
+        first = kept.setdefault(order, (perm, signs))
+        assert first[0] is perm and first[1] is signs
+    (perm_12, signs_12), (perm_21, signs_21) = kept.values()
+    assert not np.array_equal(perm_12, perm_21)
+
+
+def test_invalid_orders_raise_on_every_call():
+    # A call that raises stores nothing, so a second call raises again.
+    s = rand_state(np.random.default_rng(13000), 3)
+    p = PauliString.from_pairs([("q1", PauliFactor.X), ("a1", PauliFactor.Z)])
+    for _ in range(2):
+        for bad in (("q1", "q2"), ("q1", "q2", "q4"), ("q1", "q1", "q2")):
+            with pytest.raises(ValueError, match="is not a permutation of"):
+                reorder(s, bad)
+        with pytest.raises(ValueError, match="is not a permutation of"):
+            measure_bell_branches(s, ("q2", "a1"))
+        for build in (p.gather, p.matrix, lambda order: p.apply(s)):
+            with pytest.raises(ValueError, match="unknown qubit 'a1'"):
+                build(s.qubits)
+    assert reorder(s, ("q3", "q1", "q2")).qubits == ("q3", "q1", "q2")
 
 
 @pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)

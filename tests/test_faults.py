@@ -17,13 +17,12 @@ import numpy as np
 import pytest
 
 import teleportsim
-from teleportsim import bell, harness, teleport
+from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, teleport
 from teleportsim.bell import BellState, draw_branch
 from teleportsim.cli import CampaignConfig, main, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import random_state
 
-from conftest import PACKAGE_CACHES, clear_caches
 from test_golden import GOLDEN as REPORTS, report_digest
 from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
 
@@ -139,3 +138,36 @@ def test_measuring_the_receivers_half_is_rejected(warm, monkeypatch):
     clear_caches()
     with pytest.raises(ValueError):
         harness.run_session(SESSION_INPUT, 5)
+
+
+def test_flipped_gather_sign_fails_the_campaign(warm, monkeypatch):
+    # A message's string keeps its gather form; the strings live in
+    # corrections_from_message, so the reset drops the forms with them.
+    build = pauli.signed_permutation
+
+    def flipped(factors):
+        perm, sign = build(factors)
+        sign = sign.copy()
+        sign[-1] = -sign[-1]
+        return perm, sign
+
+    monkeypatch.setattr(pauli, "signed_permutation", flipped)
+    clear_caches()
+    assert main(SAMPLE) == 1
+
+
+def test_measuring_the_pairs_in_ascending_order_is_caught(warm, monkeypatch):
+    # (x1, a1) first: each outcome is charged to the other pair, so the
+    # engine corrects the wrong qubit. After the warm-up, reorder's label
+    # cache holds the sound walk's orders; the first measurement here asks
+    # for one that walk never makes.
+    measure = teleport.measure_bell_branches
+    swap = {("x1", "a1"): ("x2", "a2"), ("x2", "a2"): ("x1", "a1")}
+
+    def ascending(state, pair):
+        return measure(state, swap[pair])
+
+    monkeypatch.setattr(teleport, "measure_bell_branches", ascending)
+    clear_caches()
+    assert main(SAMPLE) == 1
+    assert report_digest(*DERIVE) != REPORTS[DERIVE]

@@ -4,12 +4,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from teleportsim import clear_caches
 from teleportsim.bell import BellState, decode
 from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.qstate import make_state
 from teleportsim.teleport import teleport_branches
 
-from conftest import TOL, clear_caches, rand_state
+from conftest import TOL, rand_state
 
 
 @pytest.fixture

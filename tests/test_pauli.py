@@ -157,6 +157,15 @@ def test_matrix_respects_qubit_order():
     assert np.array_equal(m, expected)
 
 
+def test_matrix_rejects_a_factor_outside_the_order():
+    # The dense reference is as strict as gather: a factor on a qubit the
+    # order leaves out raises instead of vanishing from the operator.
+    p = PauliString.from_pairs([("b1", PauliFactor.X), ("a1", PauliFactor.Z)])
+    for build in (p.matrix, p.gather):
+        with pytest.raises(ValueError, match="unknown qubit 'a1'"):
+            build(("b1",))
+
+
 def test_tokens_identity_and_phase():
     assert PauliString().tokens() == "I"
     assert PauliString(phase=-1).tokens() == "-1 I"
