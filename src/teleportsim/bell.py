@@ -1,7 +1,6 @@
 """Bell basis, Bell-pair resources, and projective Bell measurement."""
 from __future__ import annotations
 
-import itertools
 import math
 from enum import Enum
 from typing import Iterable, Sequence
@@ -22,6 +21,10 @@ class BellState(Enum):
     PSI_PLUS = "psi+"
     PHI_MINUS = "phi-"
     PHI_PLUS = "phi+"
+
+    # Members are singletons compared by identity, so the identity hash is
+    # enough, and C-level: Enum's own __hash__ is Python code on every lookup.
+    __hash__ = object.__hash__
 
     @property
     def bits(self) -> str:
@@ -108,10 +111,16 @@ def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
         raise ValueError("a seeded random generator is required")
     if not branches:
         raise ValueError("no branches to draw from")
-    cdf = list(itertools.accumulate(p for _, p, _ in branches))
-    total = cdf[-1]
+    # -0.0 + p is p exactly, so the first sum is the first probability.
+    cdf, total = [], -0.0
+    for _, p, _ in branches:
+        total += p
+        cdf.append(total)
     if not total > 0:
         raise ValueError(f"branch probabilities total {total}; a draw needs a positive total")
     u = rng.random()
-    return branches[sum(c / total <= u for c in cdf)]
+    steps = 0
+    for c in cdf:
+        steps += c / total <= u
+    return branches[steps]
 

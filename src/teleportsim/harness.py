@@ -100,13 +100,15 @@ def session_generators(
         keys = np.arange(start, stop, dtype=np.uint64)
         entropy = [np.full(stop - start, w, np.uint32) for w in prefix]
         entropy += [(keys >> 32 * j).astype(np.uint32) for j in range(width)]
-        for s_hi, s_lo, q_hi, q_lo in zip(*_seed_words(entropy, trials_ss.pool_size)):
-            # pcg64_set_seed: one step from 0, add the initial state, one more step.
-            inc = ((q_hi << 64 | q_lo) << 1 | 1) & _STATE
+        s_his, s_los, q_his, q_los = _seed_words(entropy, trials_ss.pool_size)
+        # pcg64_set_seed: one step from 0, add the initial state, one more step.
+        incs = [((q_hi << 64 | q_lo) << 1 | 1) & _STATE for q_hi, q_lo in zip(q_his, q_los)]
+        for inc, s_hi, s_lo in zip(incs, s_his, s_los):
             state = ((inc + (s_hi << 64 | s_lo)) * _PCG64_MULT + inc) & _STATE
             bitgen.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
                             "has_uint32": 0, "uinteger": 0}
             yield rng
+        del s_his, s_los, q_his, q_los, incs  # not held while the next block is hashed
         start = stop
 
 
@@ -124,4 +126,4 @@ def run_session(
     # The sender's register is fully consumed; only these bits cross over.
     message = encode(outcomes)
     correction = corrections_from_message(message, resource)
-    return _finish(xi, outcomes, prob, correction.apply(state), resource, correction, message)
+    return _finish(xi, outcomes, prob, state, resource, correction, message)

@@ -24,6 +24,7 @@ from .qstate import (
     ZX_GATE,
     StateVector,
     _state,
+    _transpose,
 )
 
 
@@ -137,22 +138,32 @@ class PauliString:
                 raise ValueError(f"unknown qubit {q!r}; register is {order}")
         return tuple(by_qubit.get(q, PauliFactor.I) for q in order)
 
-    def gather(self, order: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-        """The string's one array form on the qubit order (first = MSB), the phase in
-        the signs: (P a)[i] == signs[i] * a[perm[i]]. Read-only, kept once per order."""
+    def gather(
+        self, order: Sequence[str], to: Sequence[str] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The string's one array form from amplitudes on `order` to corrected ones on
+        `to` (default `order`; first = MSB), the transpose folded into perm and the phase
+        into the signs: out[i] == signs[i] * a[perm[i]]. Read-only, kept per (order, to)."""
         order = tuple(order)
-        form = self._gathers.get(order)
+        to = order if to is None else tuple(to)
+        form = self._gathers.get((order, to))
         if form is None:
-            perm, signs = signed_permutation(self._on(order))
+            perm, signs = signed_permutation(self._on(to))
+            if to != order:
+                shape, axes = _transpose(order, to)
+                perm = np.arange(perm.size).reshape(shape).transpose(axes).reshape(-1)[perm]
+                perm.setflags(write=False)
             if self.phase != 1:
                 signs = signs * self.phase
                 signs.setflags(write=False)
-            form = self._gathers[order] = (perm, signs)
+            form = self._gathers[order, to] = (perm, signs)
         return form
 
-    def apply(self, state: StateVector) -> StateVector:
-        perm, signs = self.gather(state.qubits)
-        return _state(state.qubits, state.amps[perm] * signs)
+    def apply(self, state: StateVector, order: Sequence[str] | None = None) -> StateVector:
+        """The corrected state on `order` (default: the state's own order), by one gather."""
+        order = state.qubits if order is None else tuple(order)
+        perm, signs = self.gather(state.qubits, order)
+        return _state(order, state.amps[perm] * signs)
 
     def matrix(self, qubit_order: Sequence[str]) -> np.ndarray:
         """Full operator on the given qubit ordering (first qubit = MSB)."""

@@ -82,11 +82,18 @@ class StateVector:
         return complex(self.amps[int(bits, 2)]) if bits else complex(self.amps[0])
 
 
+_set_qubits, _set_amps = StateVector.qubits.__set__, StateVector.amps.__set__
+
+
 def _state(qubits: Iterable[str], amps: np.ndarray) -> StateVector:
     # Trusted constructor: amps is already a validated, normalized, 1-D
-    # C-contiguous complex array that no caller writes to again.
+    # C-contiguous complex array that no caller writes to again. The slots
+    # are filled directly, without the frozen __init__'s per-field setattr.
     amps.setflags(write=False)
-    return StateVector(tuple(qubits), amps)
+    state = object.__new__(StateVector)
+    _set_qubits(state, tuple(qubits))
+    _set_amps(state, amps)
+    return state
 
 
 def make_state(qubits: Sequence[str], amps) -> StateVector:

@@ -311,15 +311,16 @@ def _finish(
     xi: StateVector,
     outcomes: tuple[BellState, ...],
     prob: float,
-    corrected: StateVector,
+    receiver: StateVector,
     resource: BellState,
     corr: PauliString,
     message: str,
 ) -> ProtocolTranscript:
-    """The transcript of one branch, from the receiver after `corr`."""
+    """The transcript of one branch, from the receiver before `corr`. One
+    gather corrects it and puts it in (b1..bn) order."""
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
-    final = reorder(corrected, bs)
+    final = corr.apply(receiver, bs)
     overlap = complex(np.vdot(xi.amps, final.amps))
     residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
     return ProtocolTranscript(
@@ -356,7 +357,7 @@ def teleport_branches(
     out = []
     for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
         corr = table.entry(outcomes)
-        out.append(_finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(outcomes)))
+        out.append(_finish(xi, outcomes, prob, receiver, resource, corr, encode(outcomes)))
     return out
 
 

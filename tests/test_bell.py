@@ -175,6 +175,18 @@ def test_draw_matches_generator_choice():
         for _ in range(2500):
             expected = int(theirs.choice(4, p=p / p.sum()))
             assert draw_branch(branches, ours) is branches[expected]
+    # Generator.choice accepts these probabilities as they stand, so both
+    # draws normalize the same sums. One list totals two ulps over 1; the
+    # other has an impossible branch in the middle, which is never drawn.
+    off_by_ulps = [0.125, 0.375 + 2 ** -52, 0.25, 0.25 + 2 ** -52]
+    assert sum(off_by_ulps) == 1 + 2 * 2 ** -52
+    impossible_middle = [0.5, 0.0, 0.25, 0.25]
+    for probs in (off_by_ulps, impossible_middle):
+        branches = [(k, p, None if p == 0 else uniform) for k, p in zip(BellState, probs)]
+        ours, theirs = np.random.default_rng(12), np.random.default_rng(12)
+        for _ in range(2500):
+            expected = int(theirs.choice(4, p=probs))
+            assert draw_branch(branches, ours) is branches[expected]
 
 
 def test_draw_rejects_an_empty_branch_list():

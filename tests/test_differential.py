@@ -38,6 +38,7 @@ from teleportsim.qstate import (
     IMPOSSIBLE_PROB,
     SOLVE_TOL,
     _state,
+    computational_basis_state,
     fidelity,
     make_state,
     project_qubits,
@@ -316,19 +317,58 @@ def test_bell_measurement_matches_reference_after_other_widths():
 
 
 def test_one_string_keeps_a_gather_form_per_order():
+    # One form per (source order, target order): the same target from two
+    # source orders needs two forms, each the string after the transpose.
     p = PauliString.from_pairs([("b1", PauliFactor.X), ("b2", PauliFactor.Z)], -1j)
+    orders = [("b1", "b2"), ("b2", "b1")]
     kept = {}
-    for order in [("b1", "b2"), ("b2", "b1")] * 2:
-        perm, signs = p.gather(order)
+    for order, to in list(itertools.product(orders, repeat=2)) * 2:
+        perm, signs = p.gather(order, to)
         assert not perm.flags.writeable and not signs.flags.writeable
-        # (P a)[i] == signs[i] * a[perm[i]]: row i of the dense P holds signs[i] at perm[i].
+        # out[i] == signs[i] * a[perm[i]]: row i of the dense form holds signs[i] at perm[i].
         dense = np.zeros((4, 4), dtype=complex)
         dense[np.arange(4), perm] = signs
-        assert np.array_equal(dense, p.matrix(order))
-        first = kept.setdefault(order, (perm, signs))
+        transpose = np.stack(
+            [reorder(computational_basis_state(order, k), to).amps for k in range(4)], axis=1
+        )
+        assert np.array_equal(dense, p.matrix(to) @ transpose)
+        first = kept.setdefault((order, to), (perm, signs))
         assert first[0] is perm and first[1] is signs
-    (perm_12, signs_12), (perm_21, signs_21) = kept.values()
-    assert not np.array_equal(perm_12, perm_21)
+    # Without a target, the form is the one onto the source order itself.
+    assert all(a is b for a, b in zip(p.gather(orders[0]), kept[orders[0], orders[0]]))
+    assert len({perm.tobytes() for perm, _ in kept.values()}) == 4
+
+
+def receiver_messages(n: int):
+    """Every message at n <= 3, 200 seeded ones above."""
+    if n <= 3:
+        return [encode(seq) for seq in outcome_sequences(n)]
+    rng = np.random.default_rng(14000 + n)
+    return [format(int(i), f"0{2 * n}b") for i in rng.integers(4 ** n, size=200)]
+
+
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_one_gather_corrects_and_orders_the_receiver(n, resource):
+    # The walk leaves the receiver on (b_n..b_1). One gather from that order
+    # onto (b1..bn) must give the bits of correcting in place and then
+    # transposing. Some parts are exactly +0.0 or -0.0, and every message's
+    # string is also tried with each phase, so the signs' bits are seen.
+    _, _, bs = protocol_labels(n)
+    rng = np.random.default_rng(15000 + n)
+    amps = rng.standard_normal(2 ** n) + 1j * rng.standard_normal(2 ** n)
+    parts = amps.view(float)
+    parts[rng.integers(parts.size, size=parts.size // 3)] = 0.0
+    parts[rng.integers(parts.size, size=parts.size // 3)] = -0.0
+    receiver = _state(bs[::-1], amps)
+    for message in receiver_messages(n):
+        corr = harness.corrections_from_message(message, resource)
+        for phase in (1, -1, 1j, -1j):
+            p = PauliString.from_pairs(corr.factors, phase)
+            got = p.apply(receiver, bs)
+            want = reorder(p.apply(receiver), bs)
+            assert got.qubits == want.qubits == bs
+            assert same_bits(got.amps, want.amps), (message, phase)
 
 
 def test_invalid_orders_raise_on_every_call():

@@ -21,7 +21,7 @@ from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, tele
 from teleportsim.bell import BellState, draw_branch
 from teleportsim.cli import CampaignConfig, main, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
-from teleportsim.qstate import random_state
+from teleportsim.qstate import _state, random_state
 
 from test_golden import GOLDEN as REPORTS, report_digest
 from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
@@ -171,3 +171,30 @@ def test_measuring_the_pairs_in_ascending_order_is_caught(warm, monkeypatch):
     clear_caches()
     assert main(SAMPLE) == 1
     assert report_digest(*DERIVE) != REPORTS[DERIVE]
+
+
+def test_gather_form_keyed_without_the_receivers_order_fails_the_campaign(warm, monkeypatch):
+    # The receiver holds (b_n..b_1). A form looked up by the target order
+    # alone is the one for a receiver already in (b1..bn) order, so it puts
+    # each factor on the mirror qubit and leaves the amplitudes untransposed.
+    build = PauliString.gather
+
+    def by_target(self, order, to=None):
+        return build(self, to or order)
+
+    monkeypatch.setattr(PauliString, "gather", by_target)
+    clear_caches()
+    assert main(SAMPLE) == 1
+
+
+def test_uncombined_gather_on_the_receivers_order_fails_the_campaign(warm, monkeypatch):
+    # The (b1..bn)-order signed permutation applied to the (b_n..b_1)
+    # receiver as it stands, without the transpose folded into it.
+    def uncombined(self, state, order=None):
+        order = state.qubits if order is None else tuple(order)
+        perm, signs = self.gather(order)
+        return _state(order, state.amps[perm] * signs)
+
+    monkeypatch.setattr(PauliString, "apply", uncombined)
+    clear_caches()
+    assert main(SAMPLE) == 1

@@ -158,7 +158,7 @@ def input_state(n: int):
 def engine_sampled_run(xi, seed, resource: BellState):
     [(outcomes, prob, receiver)] = _walk(xi, resource, np.random.default_rng(seed))
     corr = composed_correction(outcomes, resource)
-    return _finish(xi, outcomes, prob, corr.apply(receiver), resource, corr, encode(outcomes))
+    return _finish(xi, outcomes, prob, receiver, resource, corr, encode(outcomes))
 
 
 def transcripts(entry: str, resource: BellState, n: int) -> list:
