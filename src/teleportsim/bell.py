@@ -1,6 +1,7 @@
 """Bell basis, Bell-pair resources, and projective Bell measurement."""
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from typing import Iterable, Sequence
@@ -50,6 +51,22 @@ _AMPLITUDES = {
 }
 
 
+@functools.lru_cache(maxsize=1)
+def _bras() -> tuple[tuple[BellState, np.ndarray], ...]:
+    """(outcome, bra) in canonical order: each _AMPLITUDES row conjugated
+    once, read-only, as project_qubits takes it."""
+    bras = tuple((kind, _AMPLITUDES[kind].conj()) for kind in _ORDER)
+    for _, bra in bras:
+        bra.setflags(write=False)
+    return bras
+
+
+@functools.lru_cache(maxsize=256)
+def _pair_first(qubits: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
+    """The register order with the measured pair moved to the front."""
+    return pair + tuple(q for q in qubits if q not in pair)
+
+
 def encode(kinds: Iterable[BellState]) -> str:
     """The classical message for a sequence of outcomes: two bits each, in order."""
     return "".join(map(_BITS.__getitem__, kinds))
@@ -86,11 +103,11 @@ def measure_bell_branches(
     # A leading or trailing pair needs no copy: project_qubits contracts it
     # in place, and a copy of a trailing one would change the last bits.
     if pair != state.qubits[:2] and pair != state.qubits[-2:]:
-        state = reorder(state, pair + tuple(q for q in state.qubits if q not in pair))
+        state = reorder(state, _pair_first(state.qubits, pair))
     branches = []
     total = 0.0
-    for kind, row in _AMPLITUDES.items():
-        prob, rem = project_qubits(state, pair, row)
+    for kind, bra in _bras():
+        prob, rem = project_qubits(state, pair, bra)
         total += prob
         branches.append((kind, prob, rem))
     if abs(total - 1.0) > PROB_SUM_TOL:
@@ -105,7 +122,8 @@ def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
     The CDF is the same sequential float sum np.cumsum makes, and the
     count of normalized steps at or below the variate is the index
     np.searchsorted(..., side="right") finds, so the draw is bit for bit
-    Generator.choice's without building an array.
+    Generator.choice's without building an array. A probability that is
+    negative or NaN raises ValueError, as Generator.choice does.
     """
     if rng is None:
         raise ValueError("a seeded random generator is required")
@@ -114,6 +132,8 @@ def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
     # -0.0 + p is p exactly, so the first sum is the first probability.
     cdf, total = [], -0.0
     for _, p, _ in branches:
+        if not p >= 0:
+            raise ValueError(f"branch probability {p} is negative or NaN")
         total += p
         cdf.append(total)
     if not total > 0:

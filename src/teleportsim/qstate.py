@@ -210,10 +210,11 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 
 def project_qubits(
-    state: StateVector, targets: Sequence[str], onto: np.ndarray
+    state: StateVector, targets: Sequence[str], bra: np.ndarray
 ) -> tuple[float, StateVector | None]:
-    """Project the target qubits onto `onto`, normalized amplitudes over
-    `targets` in that order (targets[0] most significant).
+    """Contract the target qubits with `bra`, the already conjugated row
+    <phi| of a normalized state over `targets` in that order (targets[0]
+    most significant). To project onto a ket |phi>, pass phi.conj().
 
     Returns (probability, normalized remainder over the remaining qubits).
     The remainder is None when the probability is below IMPOSSIBLE_PROB,
@@ -230,8 +231,8 @@ def project_qubits(
     if len(set(targets)) != len(targets):
         raise ValueError(f"duplicate projection targets in {targets}")
     k = len(targets)
-    if onto.shape != (2 ** k,):
-        raise ValueError(f"projector has shape {onto.shape}, not ({2 ** k},)")
+    if bra.shape != (2 ** k,):
+        raise ValueError(f"bra has shape {bra.shape}, not ({2 ** k},)")
     if state.qubits[:k] == targets:
         t = state.amps.reshape(2 ** k, -1)
         keep = state.qubits[k:]
@@ -240,13 +241,14 @@ def project_qubits(
         rest = [i for i in range(state.n_qubits) if i not in axes]
         t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
         keep = tuple(state.qubits[i] for i in rest)
-    rem = np.dot(onto.conj(), t)
+    # ndarray.dot is np.dot's C routine without the dispatcher: the same bits.
+    rem = bra.dot(t)
     prob = float(np.vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None
-    # np.dot's product is fresh, so it is normalized in place. Division's
-    # bits at a fraction of its cost: the two differ only on a -0.0 part,
-    # and np.dot's sums are never -0.0.
+    # The product is fresh, so it is normalized in place. Division's bits
+    # at a fraction of its cost: the two differ only on a -0.0 part, and
+    # the product's sums are never -0.0.
     rem *= 1.0 / math.sqrt(prob)
     return prob, _state(keep, rem)
 

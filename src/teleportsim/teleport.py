@@ -444,8 +444,10 @@ def derive_corrections(
     xs, _, bs = protocol_labels(n)
     fiducials = _fiducial_states(xs)
     inputs = np.stack([f.amps for f in fiducials])
-    # (fiducial, outcome sequence, amplitude)
-    remainders = np.stack([_receiver_rows(f, resource) for f in fiducials])
+    # (fiducial, outcome sequence, amplitude), filled one walk at a time
+    remainders = np.empty((len(fiducials), 4 ** n, 2 ** n), dtype=complex)
+    for j, f in enumerate(fiducials):
+        remainders[j] = _receiver_rows(f, resource)
     entries = {}
     for i, seq in enumerate(outcome_sequences(n)):
         try:

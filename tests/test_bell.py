@@ -6,8 +6,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teleportsim import bell
+from teleportsim import bell, clear_caches
 from teleportsim.bell import (
     BellState,
     bell_pair,
@@ -50,6 +51,35 @@ def test_from_bits_round_trip():
         assert decode(encode(seq)) == seq
     with pytest.raises(ValueError, match="even-length bit string"):
         decode("2x")
+
+
+def test_bell_bras_are_the_conjugated_rows(monkeypatch):
+    # project_qubits contracts with the bra as given, so each cached bra must
+    # be its current row conjugated, bit for bit, in canonical order, and
+    # read-only; a patched row is seen after clear_caches().
+    def check():
+        bras = bell._bras()
+        assert [kind for kind, _ in bras] == list(BellState)
+        for kind, bra in bras:
+            want = bell._AMPLITUDES[kind].conj()
+            assert np.array_equal(bra.view(np.uint64), want.view(np.uint64))
+            assert not bra.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                bra[0] = 0
+
+    clear_caches()
+    check()
+    # A complex row, so the conjugate differs from the row itself.
+    phased = bell._AMPLITUDES[BellState.PHI_PLUS] * np.exp(0.3j)
+    try:
+        with monkeypatch.context() as m:
+            m.setitem(bell._AMPLITUDES, BellState.PHI_PLUS, phased)
+            clear_caches()
+            check()
+            assert bell._bras()[3][1][0].imag < 0
+    finally:
+        clear_caches()
+    check()
 
 
 def test_bell_states_are_orthonormal():
@@ -198,3 +228,46 @@ def test_draw_rejects_a_zero_probability_total():
     branches = [(k, 0.0, None) for k in BellState]
     with pytest.raises(ValueError, match="total 0.0; a draw needs a positive total"):
         draw_branch(branches, np.random.default_rng(0))
+
+
+def test_draw_rejects_a_negative_or_nan_probability():
+    # Generator.choice raises on each of these; a non-monotone CDF would
+    # otherwise draw the negative branch (psi+ for seed 2).
+    for probs in ([0.5, -0.25, 0.5, 0.25], [0.5, math.nan, 0.25, 0.25]):
+        branches = [(k, p, None) for k, p in zip(BellState, probs)]
+        for seed in range(8):
+            with pytest.raises(ValueError):
+                np.random.default_rng(seed).choice(4, p=probs)
+            with pytest.raises(ValueError, match="is negative or NaN"):
+                draw_branch(branches, np.random.default_rng(seed))
+
+
+weights = st.lists(st.one_of(st.just(0.0), st.floats(0, 1)), min_size=1, max_size=8).filter(
+    lambda ws: sum(ws) > 0
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights, st.integers(0, 2 ** 32 - 1))
+def test_draw_picks_what_generator_choice_picks(ws, seed):
+    probs = [w / math.fsum(ws) for w in ws]
+    branches = [(i, p, None) for i, p in enumerate(probs)]
+    ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20):
+        assert draw_branch(branches, ours) is branches[int(theirs.choice(len(probs), p=probs))]
+    assert ours.bit_generator.state == theirs.bit_generator.state
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    weights,
+    st.one_of(st.floats(max_value=-5e-324), st.just(math.nan)),
+    st.integers(0, 8),
+    st.integers(0, 2 ** 32 - 1),
+)
+def test_draw_raises_where_generator_choice_raises(ws, bad, at, seed):
+    probs = ws[:at] + [bad] + ws[at:]
+    with pytest.raises(ValueError, match="(?i)probabilities (are not non-negative|contain NaN)"):
+        np.random.default_rng(seed).choice(len(probs), p=probs)
+    with pytest.raises(ValueError, match="is negative or NaN"):
+        draw_branch([(i, p, None) for i, p in enumerate(probs)], np.random.default_rng(seed))

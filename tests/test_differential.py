@@ -218,7 +218,28 @@ def test_projection_matches_tensordot(n):
         for positions in target_tuples(n, k):
             targets = tuple(s.qubits[i] for i in positions)
             for onto in ontos:
-                assert_same(project_qubits(s, targets, onto), reference_project(s, targets, onto))
+                got = project_qubits(s, targets, onto.conj())
+                assert_same(got, reference_project(s, targets, onto))
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_projection_contracts_the_bra_as_given(n):
+    # A complex bra is used as it is, not conjugated again: the unnormalized
+    # remainder is np.dot(bra, t) with the targets moved to the front.
+    rng = np.random.default_rng(2000 + n)
+    s = rand_state(rng, n)
+    for k in (1, 2):
+        bra = rand_state(rng, k).amps.conj()
+        for positions in target_tuples(n, k):
+            targets = tuple(s.qubits[i] for i in positions)
+            rest = [i for i in range(n) if i not in positions]
+            t = s.amps.reshape([2] * n).transpose(list(positions) + rest).reshape(2 ** k, -1)
+            rem = np.dot(bra, t)
+            prob = float(np.vdot(rem, rem).real)
+            got_prob, got = project_qubits(s, targets, bra)
+            assert got_prob == prob
+            assert got.qubits == tuple(s.qubits[i] for i in rest)
+            assert same_bits(got.amps, rem * (1.0 / math.sqrt(prob)))
 
 
 def test_projection_matches_tensordot_on_impossible_branches():
@@ -228,7 +249,7 @@ def test_projection_matches_tensordot_on_impossible_branches():
     joint = _state(("p", "a", "b", "q"), amps)
     for pair in (("a", "b"), ("b", "a")):
         for kind in BellState:
-            got = project_qubits(joint, pair, kind.amplitudes)
+            got = project_qubits(joint, pair, kind.amplitudes.conj())
             assert_same(got, reference_project(joint, pair, kind.amplitudes))
             assert (got[1] is None) == (kind is not BellState.PSI_MINUS)
 
@@ -250,7 +271,7 @@ def test_reciprocal_scaling_matches_the_dividing_projection(n, resource, monkeyp
         branches = measure_bell_branches(state, pair)
         for kind, p, rem in branches:
             want = reference_project(state, pair, kind.amplitudes)
-            assert same_remainder(project_qubits(state, pair, kind.amplitudes), want)
+            assert same_remainder(project_qubits(state, pair, kind.amplitudes.conj()), want)
             assert same_remainder((p, rem), want)
         return branches
 

@@ -100,9 +100,9 @@ PRODUCERS = {
     "reorder": (_four, lambda s: reorder(s, ("q3", "q1", "q4", "q2"))),
     "project_qubits": (
         _four,
-        lambda s: project_qubits(s, ("q3", "q1"), BellState.PSI_PLUS.amplitudes)[1],
+        lambda s: project_qubits(s, ("q3", "q1"), BellState.PSI_PLUS.amplitudes.conj())[1],
     ),
-    "project_qubits-empty": (_four, lambda s: project_qubits(s, s.qubits, s.amps)[1]),
+    "project_qubits-empty": (_four, lambda s: project_qubits(s, s.qubits, s.amps.conj())[1]),
     "bell-leading": _bell_remainder(0),
     "bell-middle": _bell_remainder(1),
     "bell-trailing": _bell_remainder(2),
@@ -341,7 +341,7 @@ def test_projection_branch_of_single_pair_protocol():
     alpha, beta = 0.6, 0.8
     u = make_state(("x",), [alpha, beta])
     joint = tensor(u, bell_pair(BellState.PSI_MINUS, "a", "b"))
-    prob, rem = project_qubits(joint, ("x", "a"), BellState.PSI_PLUS.amplitudes)
+    prob, rem = project_qubits(joint, ("x", "a"), BellState.PSI_PLUS.amplitudes.conj())
     assert prob == pytest.approx(0.25, abs=TOL)
     assert rem.qubits == ("b",)
     assert rem.amps[0] == pytest.approx(-alpha, abs=TOL)
@@ -350,7 +350,7 @@ def test_projection_branch_of_single_pair_protocol():
 
 def test_projecting_everything_leaves_empty_remainder():
     s = bell_pair(BellState.PSI_MINUS, "a", "b")
-    prob, rem = project_qubits(s, ("a", "b"), s.amps)
+    prob, rem = project_qubits(s, ("a", "b"), s.amps.conj())
     assert prob == pytest.approx(1.0, abs=TOL)
     assert rem.qubits == ()
     assert rem.amps[0] == pytest.approx(1.0, abs=TOL)
@@ -358,20 +358,21 @@ def test_projecting_everything_leaves_empty_remainder():
 
 def test_impossible_branch_is_marked():
     s = computational_basis_state(("a", "b"), "00")
-    prob, rem = project_qubits(s, ("a", "b"), BellState.PSI_MINUS.amplitudes)
+    prob, rem = project_qubits(s, ("a", "b"), BellState.PSI_MINUS.amplitudes.conj())
     assert prob == pytest.approx(0.0, abs=TOL)
     assert rem is None
 
 
 def test_projection_validates_targets():
     s = computational_basis_state(("a", "b", "c"), 0)
-    onto = computational_basis_state(("a", "b", "c"), 0).amps
-    with pytest.raises(ValueError, match=r"shape \(8,\), not \(4,\)"):
-        project_qubits(s, ("a", "b"), onto)
+    bra = computational_basis_state(("a", "b", "c"), 0).amps.conj()
+    for wrong in (bra, bra[:4].reshape(2, 2), bra[:2]):
+        with pytest.raises(ValueError, match=re.escape(f"bra has shape {wrong.shape}, not (4,)")):
+            project_qubits(s, ("a", "b"), wrong)
     with pytest.raises(ValueError, match="duplicate"):
-        project_qubits(s, ("a", "a"), onto[:4])
+        project_qubits(s, ("a", "a"), bra[:4])
     with pytest.raises(ValueError, match="unknown qubit"):
-        project_qubits(s, ("a", "d"), onto[:4])
+        project_qubits(s, ("a", "d"), bra[:4])
 
 
 @settings(max_examples=50, deadline=None)
@@ -380,7 +381,7 @@ def test_bell_projector_completeness(s):
     pair = s.qubits[:2]
     total = 0.0
     for kind in BellState:
-        prob, _ = project_qubits(s, pair, kind.amplitudes)
+        prob, _ = project_qubits(s, pair, kind.amplitudes.conj())
         total += prob
     assert abs(total - 1.0) < TOL
 
