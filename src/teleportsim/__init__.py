@@ -17,12 +17,12 @@ from .teleport import (
 )
 from .harness import run_session
 from .cli import CampaignConfig, run_campaign
-from . import bell, harness, pauli, qstate, teleport
+from . import bell, harness, qstate, teleport
 
 # Every memo cache. Gather forms live on the strings corrections_from_message holds.
-PACKAGE_CACHES = (qstate._transpose, bell._bras, bell._pair_first, pauli.signed_permutation,
-                  teleport.protocol_labels, teleport.base_factor_map, teleport._joint,
-                  teleport._candidate_gathers, harness.corrections_from_message)
+PACKAGE_CACHES = (qstate._transpose, bell._bras, bell._pair_first, teleport.protocol_labels,
+                  teleport.base_factor_map, teleport._joint, teleport._candidate_gathers,
+                  harness.corrections_from_message)
 
 
 def clear_caches() -> None:

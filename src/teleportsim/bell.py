@@ -122,8 +122,8 @@ def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
     The CDF is the same sequential float sum np.cumsum makes, and the
     count of normalized steps at or below the variate is the index
     np.searchsorted(..., side="right") finds, so the draw is bit for bit
-    Generator.choice's without building an array. A probability that is
-    negative or NaN raises ValueError, as Generator.choice does.
+    Generator.choice's without building an array. A negative or NaN
+    probability, or an infinite total, raises ValueError, as choice does.
     """
     if rng is None:
         raise ValueError("a seeded random generator is required")
@@ -136,8 +136,10 @@ def draw_branch(branches: Sequence[tuple], rng: np.random.Generator) -> tuple:
             raise ValueError(f"branch probability {p} is negative or NaN")
         total += p
         cdf.append(total)
-    if not total > 0:
-        raise ValueError(f"branch probabilities total {total}; a draw needs a positive total")
+    if not 0 < total < math.inf:
+        raise ValueError(
+            f"branch probabilities total {total}; a draw needs a positive total below inf"
+        )
     u = rng.random()
     steps = 0
     for c in cdf:

@@ -44,6 +44,10 @@ class PauliFactor(Enum):
     def z(self) -> int:
         return int("Z" in self.value)
 
+    @staticmethod
+    def from_bits(x: int, z: int) -> "PauliFactor":
+        return _BY_BITS[x, z]
+
     @property
     def matrix(self) -> np.ndarray:
         return _GATES[self].matrix
@@ -60,31 +64,28 @@ _GATES = {
     PauliFactor.Z: Z_GATE,
     PauliFactor.ZX: ZX_GATE,
 }
+_BY_BITS = {(f.x, f.z): f for f in PauliFactor}
+# Each factor's sign per output basis index: Z's diagonal, or no sign.
+_Z_SIGNS, _NO_SIGNS = Z_GATE.matrix.diagonal().real, np.ones(2)
 _PHASE_TOKENS = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j, "1": 1, "i": 1j}
 # The exact phases a string may carry, and how tokens() writes them.
 _PHASE_NAMES = {1: "+1", -1: "-1", 1j: "+i", -1j: "-i"}
 
 
-# 1024 entries hold every factor string on a five-qubit register.
-@functools.lru_cache(maxsize=1024)
 def signed_permutation(factors: tuple[PauliFactor, ...]) -> tuple[np.ndarray, np.ndarray]:
     """Index form of the product of `factors`, the first on the most
     significant qubit: (P a)[i] == sign[i] * a[perm[i]].
 
-    Read off each factor's matrix (one +-1 entry per row), so the Z sign
-    convention has its single home in qstate. Both arrays are read-only
-    and shared between callers.
+    Read off the string's bits: the X bits flip index bits, so perm is
+    i XOR the X mask, and sign is the Kronecker product of Z's diagonal
+    over the qubits with a Z bit, so the Z sign convention keeps its single
+    home in qstate. Both arrays are fresh on every call.
     """
-    perm = np.zeros(1, dtype=np.intp)
-    sign = np.ones(1)
+    xmask, sign = 0, np.ones(1)
     for f in factors:
-        cols = np.argmax(np.abs(f.matrix), axis=1)
-        vals = f.matrix[(0, 1), cols].real
-        perm = (2 * perm[:, None] + cols).reshape(-1)
-        sign = (sign[:, None] * vals).reshape(-1)
-    perm.setflags(write=False)
-    sign.setflags(write=False)
-    return perm, sign
+        xmask = 2 * xmask + f.x
+        sign = np.multiply.outer(sign, _Z_SIGNS if f.z else _NO_SIGNS).reshape(-1)
+    return np.arange(sign.size) ^ xmask, sign
 
 
 @dataclass(frozen=True)
@@ -124,12 +125,6 @@ class PauliString:
     def qubits(self) -> tuple[str, ...]:
         return tuple(q for q, _ in self.factors)
 
-    def factor_for(self, qubit: str) -> PauliFactor:
-        for q, f in self.factors:
-            if q == qubit:
-                return f
-        return PauliFactor.I
-
     def _on(self, order: tuple[str, ...]) -> tuple[PauliFactor, ...]:
         """The factor on each qubit of `order`; one outside it raises, not vanishes."""
         by_qubit = dict(self.factors)
@@ -152,10 +147,10 @@ class PauliString:
             if to != order:
                 shape, axes = _transpose(order, to)
                 perm = np.arange(perm.size).reshape(shape).transpose(axes).reshape(-1)[perm]
-                perm.setflags(write=False)
             if self.phase != 1:
                 signs = signs * self.phase
-                signs.setflags(write=False)
+            perm.setflags(write=False)
+            signs.setflags(write=False)
             form = self._gathers[order, to] = (perm, signs)
         return form
 
@@ -203,5 +198,5 @@ def parse_pauli_tokens(text: str) -> PauliString:
         if x and f.z:
             phase = -phase
         bits[qubit] = (x ^ f.x, z ^ f.z)
-    pairs = ((q, PauliFactor("Z" * z + "X" * x or "I")) for q, (x, z) in bits.items())
+    pairs = ((q, PauliFactor.from_bits(x, z)) for q, (x, z) in bits.items())
     return PauliString.from_pairs(pairs, phase)

@@ -8,7 +8,10 @@ applies one correction factor per b-qubit.
 
 Two independent routes produce correction tables:
 
-* the engine composes the fixed single-pair rule per outcome, and
+* the engine composes the single-pair rule per outcome: on resource R,
+  the psi- rule's (x, z) bits XOR those of R's own entry, since R is the
+  psi- pair with that factor on b (base_factor_map). It never calls the
+  oracle, and
 * derive_corrections brute-forces every branch remainder against an
   informationally complete fiducial set and solves for the unique factor
   string, never assuming the composition.
@@ -195,15 +198,14 @@ class ProtocolTranscript:
 
 @functools.lru_cache(maxsize=None)
 def base_factor_map(resource: BellState) -> Mapping[BellState, PauliFactor]:
-    """Outcome -> correction factor for a single pair of the given kind.
-
-    The psi- rule is pinned; any other resource kind is re-derived from
-    scratch by the width-1 oracle.
+    """Outcome -> correction factor for a single pair of the given kind:
+    the (x, z) bits of the outcome's psi- rule entry F_k XOR those of the
+    resource's own entry F. The resource is (I (x) F)|psi-> up to phase,
+    and F on b commutes with the sender's measurement, so outcome k leaves
+    F F_k|u> on b where psi- leaves F_k|u>; Paulis compose by XOR of bits.
     """
-    if resource is BellState.PSI_MINUS:
-        return dict(PSI_MINUS_FACTORS)
-    table = derive_corrections(1, resource)
-    return {kind: table.entry((kind,)).factor_for("b1") for kind in BellState}
+    r = PSI_MINUS_FACTORS[resource]
+    return {k: PauliFactor.from_bits(f.x ^ r.x, f.z ^ r.z) for k, f in PSI_MINUS_FACTORS.items()}
 
 
 def composed_correction(kinds: Sequence[BellState], resource: BellState) -> PauliString:

@@ -278,7 +278,7 @@ def test_single_pair_factor_each_outcome():
     # pinned one (identity, phase-flip, bit-flip, both) in declaration order.
     table = derive_corrections(1)
     factors = [
-        table.entry(seq).factor_for("b1") if table.entry(seq).factors else None
+        dict(table.entry(seq).factors).get("b1")
         for seq in SINGLE_QUBIT_OUTPUT_SIGNS
     ]
     assert factors == [None, PauliFactor.Z, PauliFactor.X, PauliFactor.ZX]

@@ -258,16 +258,22 @@ def test_draw_picks_what_generator_choice_picks(ws, seed):
     assert ours.bit_generator.state == theirs.bit_generator.state
 
 
-@settings(max_examples=200, deadline=None)
-@given(
-    weights,
-    st.one_of(st.floats(max_value=-5e-324), st.just(math.nan)),
-    st.integers(0, 8),
-    st.integers(0, 2 ** 32 - 1),
+# Entries no draw accepts: one negative or NaN, one or two +inf, or a
+# finite pair whose sum overflows to +inf.
+refused = st.one_of(
+    st.one_of(st.floats(max_value=-5e-324), st.just(math.nan)).map(lambda p: [p]),
+    st.lists(st.just(math.inf), min_size=1, max_size=2),
+    st.lists(st.floats(min_value=1e308, allow_infinity=False), min_size=2, max_size=2),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(weights, refused, st.integers(0, 8), st.integers(0, 2 ** 32 - 1))
 def test_draw_raises_where_generator_choice_raises(ws, bad, at, seed):
-    probs = ws[:at] + [bad] + ws[at:]
-    with pytest.raises(ValueError, match="(?i)probabilities (are not non-negative|contain NaN)"):
+    probs = ws[:at] + bad + ws[at:]
+    with pytest.raises(
+        ValueError, match="(?i)probabilities (are not non-negative|contain NaN|do not sum to 1)"
+    ):
         np.random.default_rng(seed).choice(len(probs), p=probs)
-    with pytest.raises(ValueError, match="is negative or NaN"):
+    with pytest.raises(ValueError, match="is negative or NaN|total inf; .* total below inf"):
         draw_branch([(i, p, None) for i, p in enumerate(probs)], np.random.default_rng(seed))

@@ -480,8 +480,9 @@ def broken(table: CorrectionTable, rows, phase_only: bool) -> CorrectionTable:
         if phase_only:
             entries[seqs[row]] = PauliString(entry.factors, -entry.phase)
             continue
-        swapped = PauliFactor.I if entry.factor_for(last) is PauliFactor.X else PauliFactor.X
-        pairs = [(q, entry.factor_for(q)) for q in table.targets[:-1]] + [(last, swapped)]
+        factors = dict(entry.factors)
+        swapped = PauliFactor.I if factors.pop(last, None) is PauliFactor.X else PauliFactor.X
+        pairs = [*factors.items(), (last, swapped)]
         entries[seqs[row]] = PauliString.from_pairs(pairs, entry.phase)
     return CorrectionTable(table.n, table.resource, entries)
 

@@ -21,7 +21,7 @@ from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, tele
 from teleportsim.bell import BellState, draw_branch
 from teleportsim.cli import CampaignConfig, main, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
-from teleportsim.qstate import _state, random_state
+from teleportsim.qstate import FIDELITY_TOL, _state, random_state
 
 from test_golden import GOLDEN as REPORTS, report_digest
 from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
@@ -72,6 +72,21 @@ def test_flipped_bell_row_sign_fails_both_routes(warm, monkeypatch):
     clear_caches()
     assert main(SAMPLE) == 1
     assert report_digest(*DERIVE) != REPORTS[DERIVE]
+
+
+@pytest.mark.parametrize("kind", [BellState.PSI_PLUS, BellState.PHI_PLUS], ids=lambda k: k.value)
+def test_flipped_bell_row_sign_fails_every_resource(warm, monkeypatch, kind):
+    # psi+ becomes psi-, or phi+ becomes phi-. Every resource's rule comes
+    # from the psi- rule's bits, not from the rows, so a walk over any
+    # resource corrects some branch with the wrong operator.
+    row = bell._AMPLITUDES[kind].copy()
+    last = np.flatnonzero(row)[-1]
+    row[last] = -row[last]
+    monkeypatch.setitem(bell._AMPLITUDES, kind, row)
+    clear_caches()
+    for resource in BellState:
+        worst = min(t.final_fidelity for t in teleport.teleport_branches(SESSION_INPUT, resource))
+        assert worst < 1 - FIDELITY_TOL, resource
 
 
 def test_drawing_the_next_branch_changes_the_pinned_reports(warm, monkeypatch):

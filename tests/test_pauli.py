@@ -40,12 +40,13 @@ def test_factor_bits_name_its_matrix():
     power = np.linalg.matrix_power
     for f in PauliFactor:
         assert np.array_equal(power(z, f.z) @ power(x, f.x), f.matrix), f
+        assert PauliFactor.from_bits(f.x, f.z) is f
 
 
 def test_from_pairs_drops_identities():
     p = PauliString.from_pairs([("b1", PauliFactor.I), ("b2", PauliFactor.X)])
     assert p.factors == (("b2", PauliFactor.X),)
-    assert p.factor_for("b1") is PauliFactor.I
+    assert "b1" not in dict(p.factors)
     assert p.op_count == 1
 
 
@@ -184,10 +185,10 @@ def test_token_round_trip(text):
 def test_parse_composes_same_qubit_right_to_left():
     # "X@b1 Z@b1" means apply Z first, then X: the matrix X Z = -ZX.
     p = parse_pauli_tokens("X@b1 Z@b1")
-    assert p.factor_for("b1") is PauliFactor.ZX
+    assert p.factors == (("b1", PauliFactor.ZX),)
     assert p.phase == -1
     q = parse_pauli_tokens("Z@b1 X@b1")
-    assert q.factor_for("b1") is PauliFactor.ZX
+    assert q.factors == (("b1", PauliFactor.ZX),)
     assert q.phase == 1
 
 
@@ -195,7 +196,7 @@ def test_parse_composes_same_qubit_right_to_left():
 def test_parse_composes_every_factor_pair_exactly(f, g):
     # Z^z X^x times Z^z' X^x' is (-1)^(x z') Z^(z ^ z') X^(x ^ x'), exactly.
     p = parse_pauli_tokens(f"{f.value}@q {g.value}@q")
-    h = p.factor_for("q")
+    h = dict(p.factors).get("q", PauliFactor.I)
     assert np.array_equal(p.phase * h.matrix, f.matrix @ g.matrix)
 
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from teleportsim import teleport
+from teleportsim import clear_caches, teleport
 from teleportsim.bell import BellState, measure_bell_branches
 from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.pauli import PauliFactor, PauliString
@@ -234,9 +234,10 @@ def test_derived_width_one_matches_reference_exactly():
 
 
 def test_derived_tables_match_composed_rule():
-    for n in (1, 2, 3):
-        report = certify_table(derive_corrections(n), composed_table(n))
-        assert report.all_match, report.counts
+    for resource in BellState:
+        for n in (1, 2, 3):
+            report = certify_table(derive_corrections(n, resource), composed_table(n, resource))
+            assert report.all_match, (resource, n, report.counts)
 
 
 def test_oracle_never_consults_the_composed_rule_or_the_fixture(monkeypatch):
@@ -247,6 +248,23 @@ def test_oracle_never_consults_the_composed_rule_or_the_fixture(monkeypatch):
         monkeypatch.setattr(teleport, name, forbidden)
     for n in (1, 2, 3):
         assert len(derive_corrections(n).entries) == 4 ** n
+
+
+def test_engine_never_consults_the_oracle(monkeypatch):
+    # Every resource's rule is the psi- rule's bits XOR the resource's own
+    # entry, so certifying the oracle against the engine checks two routes.
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the engine's rule must not come from the oracle")
+
+    for name in (
+        "derive_corrections", "_solve_correction", "_receiver_rows", "_fiducial_states",
+        "_validate_table",
+    ):
+        monkeypatch.setattr(teleport, name, forbidden)
+    clear_caches()
+    for resource in BellState:
+        for n in (1, 2, 3):
+            assert len(composed_table(n, resource).entries) == 4 ** n
 
 
 def test_derive_width_four_is_unique_and_valid():
@@ -364,8 +382,7 @@ def test_validation_names_the_wrong_row():
 def test_composed_correction_orders_by_measurement():
     # Outcome list is (pair 2, pair 1); factors land on (b2, b1) respectively.
     corr = composed_correction((PHIM, PSIP), PSIM)
-    assert corr.factor_for("b2") is PauliFactor.X
-    assert corr.factor_for("b1") is PauliFactor.Z
+    assert dict(corr.factors) == {"b2": PauliFactor.X, "b1": PauliFactor.Z}
 
 
 # --- certification ---------------------------------------------------------
