@@ -96,13 +96,18 @@ def _state(qubits: Iterable[str], amps: np.ndarray) -> StateVector:
     return state
 
 
+def _check_cap(qubits: Sequence[str], error: type[ValueError] = ValueError) -> None:
+    """The register cap, checked before any amplitude is allocated, drawn or read."""
+    if len(qubits) > MAX_QUBITS:
+        raise error(f"register of {len(qubits)} qubits exceeds the {MAX_QUBITS}-qubit cap")
+
+
 def make_state(qubits: Sequence[str], amps) -> StateVector:
     """Build a normalized StateVector, validating shape and finiteness."""
     qubits = tuple(qubits)
     if len(set(qubits)) != len(qubits):
         raise ValueError(f"duplicate qubit labels in {qubits}")
-    if len(qubits) > MAX_QUBITS:
-        raise ValueError(f"register of {len(qubits)} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    _check_cap(qubits)
     # Copy: strided views (e.g. amps[0::2]) must not leak into the state,
     # and the float reinterpretation below needs a contiguous buffer.
     a = np.array(amps, dtype=complex).reshape(-1)
@@ -127,6 +132,7 @@ def make_state(qubits: Sequence[str], amps) -> StateVector:
 
 def computational_basis_state(qubits: Sequence[str], index: int | str) -> StateVector:
     """Basis state |index>; index may be an int or a bit string."""
+    _check_cap(qubits)
     n = len(qubits)
     if isinstance(index, str):
         if len(index) != n or set(index) - {"0", "1"}:
@@ -155,6 +161,7 @@ def random_state(qubits: Sequence[str], rng: np.random.Generator) -> StateVector
     """Haar-distributed pure state over the given qubits."""
     if rng is None:
         raise ValueError("a seeded random generator is required")
+    _check_cap(qubits)
     dim = 2 ** len(qubits)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return make_state(qubits, a)
@@ -277,11 +284,7 @@ def parse_state_literal(text: str) -> StateVector:
     if not rows:
         raise StateFormatError("empty state literal")
     labels = tuple(rows[0][1].split())
-    # Checked before any row is read, so an over-wide literal names the cap.
-    if len(labels) > MAX_QUBITS:
-        raise StateFormatError(
-            f"register of {len(labels)} qubits exceeds the {MAX_QUBITS}-qubit cap"
-        )
+    _check_cap(labels, StateFormatError)  # before any row, so an over-wide literal names the cap
     expected = 2 ** len(labels)
     amps = []
     for lineno, row in rows[1:]:

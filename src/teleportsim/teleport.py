@@ -42,7 +42,6 @@ from .qstate import (
     MAX_QUBITS,
     SOLVE_TOL,
     StateVector,
-    computational_basis_state,
     make_state,
     random_state,
     reorder,
@@ -367,31 +366,33 @@ def teleport_branches(
 
 
 def _fiducial_states(xs: tuple[str, ...]) -> list[StateVector]:
-    """Informationally complete inputs: every basis state plus the n-fold
-    |+> and |+i> products. Sufficient to pin the correction uniquely."""
-    n = len(xs)
-    states = [computational_basis_state(xs, i) for i in range(2 ** n)]
-    plus = np.array([1, 1], dtype=complex)
-    plus_i = np.array([1, 1j], dtype=complex)
-    for single in (plus, plus_i):
-        a = np.array([1], dtype=complex)
-        for _ in range(n):
-            a = np.kron(a, single)
-        states.append(make_state(xs, a))
-    return states
+    """Informationally complete inputs, in this order: every basis state
+    |k>, then |+>^n (all ones) and |+i>^n (i^popcount(k) at index k). The
+    basis states fix a correction's X mask and |+>^n its Z mask, so exactly
+    one Pauli string returns every remainder to its input."""
+    d = 2 ** len(xs)
+    plus_i = np.array([1, 1j, -1, -1j])[[k.bit_count() % 4 for k in range(d)]]
+    rows = [*np.eye(d, dtype=complex), np.ones(d, dtype=complex), plus_i]
+    return [make_state(xs, row) for row in rows]
+
+
+def _mask_factors(x: int, z: int, n: int) -> tuple[PauliFactor, ...]:
+    """The width-n string Z^z X^x as factors, the first on the most significant bit."""
+    return tuple(PauliFactor.from_bits(x >> k & 1, z >> k & 1) for k in range(n - 1, -1, -1))
 
 
 @functools.lru_cache(maxsize=MAX_TABLE_WIDTH)
-def _candidate_gathers(
-    n: int,
-) -> tuple[tuple[tuple[PauliFactor, ...], ...], np.ndarray, np.ndarray]:
-    """Every width-n factor string in product order, with the signed
-    permutations of all of them stacked as perms and signs, (4^n, 2^n)."""
-    candidates = tuple(itertools.product(PauliFactor, repeat=n))
-    forms = [signed_permutation(c) for c in candidates]
-    perms = np.stack([perm for perm, _ in forms])
-    signs = np.stack([sign for _, sign in forms])
-    return candidates, perms, signs
+def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every width-n Pauli string by its masks, (Z^z X^x a)[i] ==
+    signs[z, i] * a[xor[x, i]]: xor[x, i] = i ^ x, and row z of signs is
+    signed_permutation's sign for the Z-only string with mask z, so the Z
+    sign convention keeps its one home. Both (2^n, 2^n) and read-only."""
+    d = 2 ** n
+    xor = np.arange(d)[:, None] ^ np.arange(d)
+    signs = np.stack([signed_permutation(_mask_factors(0, z, n))[1] for z in range(d)])
+    for table in (xor, signs):
+        table.setflags(write=False)
+    return xor, signs
 
 
 def _solve_correction(
@@ -402,34 +403,29 @@ def _solve_correction(
     """Find the unique factor string mapping every remainder to its input.
 
     `inputs` and `remainders` are stacked amplitude rows, one per fiducial
-    state, both in (b1..bn) bit order. Candidates are applied by gathers
-    through the width's cached signed permutations and scored by their
-    overlap with the input: all 4^n on the first row, then the survivors
-    on every row. A candidate fits only if it reaches fidelity
-    1 - SOLVE_TOL on every row, so the hits are exactly those of scoring
-    all 4^n on all rows, in candidate order. With a basis state first the
-    screen fixes the X part and 2^n survive. Exactly one must fit.
+    state, both in (b1..bn) bit order. All 4^n strings Z^z X^x are scored
+    on every row by one product: the X masks gather each remainder, and the
+    Z masks' signs contract it with the input, giving overlap[f, x, z] =
+    <input_f| Z^z X^x |remainder_f>. A string fits if it reaches fidelity
+    1 - SOLVE_TOL on every row. Exactly one must fit.
     """
     n = len(targets)
-    candidates, perms, signs = _candidate_gathers(n)
-    screen = np.abs((remainders[0, perms] * signs) @ inputs[0].conj()) ** 2  # (4^n,)
-    live = np.flatnonzero(screen >= 1 - SOLVE_TOL)
-    applied = remainders[:, perms[live]] * signs[live]        # (F, survivors, dim)
-    overlap = np.einsum("fi,fci->cf", inputs.conj(), applied)
-    fid = np.abs(overlap) ** 2
-    hits = live[np.all(fid >= 1 - SOLVE_TOL, axis=1)]
-    if len(hits) == 0:
+    xor, signs = _mask_tables(n)
+    d = len(signs)
+    overlap = (inputs.conj()[:, None, :] * remainders[:, xor]).reshape(-1, d) @ signs.T
+    fits = np.all(np.abs(overlap.reshape(-1, d, d)) ** 2 >= 1 - SOLVE_TOL, axis=0)
+    hits = [_mask_factors(x, z, n) for x, z in np.argwhere(fits).tolist()]
+    if not hits:
         raise NoCorrectionError(
             f"no factor string of width {n} restores the input within "
             f"SOLVE_TOL={SOLVE_TOL}; the protocol invariant is violated"
         )
     if len(hits) > 1:
-        named = [candidates[h] for h in hits]
         raise AmbiguousCorrectionError(
             f"{len(hits)} factor strings fit at width {n} within SOLVE_TOL={SOLVE_TOL} "
-            f"({named}); fiducial set is incomplete"
+            f"({hits}); fiducial set is incomplete"
         )
-    return candidates[hits[0]]
+    return hits[0]
 
 
 def derive_corrections(

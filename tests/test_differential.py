@@ -1,13 +1,16 @@
 """Old engine against new engine, bit for bit, the batched table
-validation against the per-branch loop it replaced, and the screened
-correction solver against the full candidate scan.
+validation against the per-branch loop it replaced, and the correction
+solver's (x, z) mask scan against a stack of every candidate's signed
+permutation.
 
 The references below are the earlier engine kept as test-local copies:
 `np.kron` tensor products, the `np.cumsum`/`np.searchsorted` branch draw,
 `np.tensordot` projection dividing by the norm, four projections per Bell
 measurement on the unreordered register, validation by
 `PauliString.apply` and `fidelity` one branch at a time, the solver
-scoring all 4^n candidates on every fiducial row, the walk building
+gathering all 4^n candidates' signed permutations, each built by
+`signed_permutation` from its factor tuple, and scoring them on every
+fiducial row, the walk building
 its 3n-qubit register on every call, the session composing its
 correction on every call, and reorder finding its transpose axes afresh
 on every call.
@@ -32,7 +35,7 @@ from teleportsim.bell import (
     measure_bell_branches,
 )
 from teleportsim.cli import FIXTURE_NAMES, CampaignConfig, fixture_state, run_campaign
-from teleportsim.pauli import PauliFactor, PauliString
+from teleportsim.pauli import PauliFactor, PauliString, signed_permutation
 from teleportsim.qstate import (
     FIDELITY_TOL,
     IMPOSSIBLE_PROB,
@@ -507,9 +510,18 @@ def test_batched_validation_names_the_same_branch(n, resource, phase_only):
 # --- the correction solver ------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def candidate_stack(n: int):
+    """Every width-n factor tuple in product order, and their signed
+    permutations stacked as perms and signs, (4^n, 2^n)."""
+    candidates = tuple(itertools.product(PauliFactor, repeat=n))
+    perms, signs = map(np.stack, zip(*map(signed_permutation, candidates)))
+    return candidates, perms, signs
+
+
 def reference_solve(targets, inputs, remainders):
-    """The full scan: every candidate scored on every fiducial row."""
-    candidates, perms, signs = teleport._candidate_gathers(len(targets))
+    """Every candidate's signed permutation scored on every fiducial row."""
+    candidates, perms, signs = candidate_stack(len(targets))
     applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
     fid = np.abs(np.einsum("fi,fci->cf", inputs.conj(), applied)) ** 2
     hits = np.flatnonzero(np.all(fid >= 1 - SOLVE_TOL, axis=1))
@@ -552,7 +564,7 @@ def vary(variant: str, n: int, inputs, remainders):
         # The basis rows fix the X part only; the Z part stays free.
         return AmbiguousCorrectionError, inputs[: 2 ** n], remainders[: 2 ** n]
     if variant == "reversed":
-        # |+i>^n is screened first instead of |0...0>.
+        # |+i>^n comes first instead of |0...0>.
         return tuple, inputs[::-1], remainders[::-1]
     return tuple, inputs, remainders
 
@@ -561,6 +573,7 @@ def vary(variant: str, n: int, inputs, remainders):
 @pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
 @pytest.mark.parametrize("n", range(1, 4))
 def test_screened_solver_matches_the_full_scan(n, resource, variant):
+    # The solver's (x, z) mask scan against every candidate's signed permutation.
     bs, inputs, remainders = fiducial_remainders(n, resource)
     expected, inputs, remainders = vary(variant, n, inputs, remainders)
     for i in range(4 ** n):

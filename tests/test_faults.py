@@ -89,6 +89,24 @@ def test_flipped_bell_row_sign_fails_every_resource(warm, monkeypatch, kind):
         assert worst < 1 - FIDELITY_TOL, resource
 
 
+def test_flipped_mask_sign_fails_the_derivation(warm, monkeypatch):
+    # One entry of one Z row: no string on that row is a Pauli string any
+    # more, so a branch that needs it has no correction. A whole row flipped
+    # would only be a global sign, which no fidelity can see.
+    build = teleport._mask_tables
+
+    def flipped(n):
+        xor, signs = build(n)
+        signs = signs.copy()
+        signs[1, 2] = -signs[1, 2]
+        return xor, signs
+
+    monkeypatch.setattr(teleport, "_mask_tables", flipped)
+    clear_caches()
+    with pytest.raises(teleport.NoCorrectionError, match=r"^branch [01]{4}: no factor string"):
+        teleport.derive_corrections(2)
+
+
 def test_drawing_the_next_branch_changes_the_pinned_reports(warm, monkeypatch):
     # Every branch is faithful, so the fidelity exit cannot see a wrong
     # draw; the pinned report and transcript digests do.

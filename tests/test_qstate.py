@@ -4,6 +4,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -77,6 +78,24 @@ def test_make_state_rejects_duplicate_labels():
 def test_register_cap_is_sixteen():
     with pytest.raises(ValueError, match="16"):
         make_state(labels(17), np.zeros(2 ** 17))
+
+
+@pytest.mark.parametrize("build", [random_state, lambda qubits, _: computational_basis_state(qubits, 0)],
+                         ids=["random", "basis"])
+def test_over_wide_register_is_rejected_before_any_amplitude(build):
+    # 2^17 amplitudes take 2 MB; the cap must be named before any is
+    # allocated, and before a random state draws from the caller's generator.
+    rng = np.random.default_rng(3)
+    drawn = rng.bit_generator.state
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="17 qubits exceeds the 16-qubit cap"):
+            build(labels(17), rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 16
+    assert rng.bit_generator.state == drawn
 
 
 def _four():

@@ -258,7 +258,7 @@ def test_engine_never_consults_the_oracle(monkeypatch):
 
     for name in (
         "derive_corrections", "_solve_correction", "_receiver_rows", "_fiducial_states",
-        "_validate_table",
+        "_mask_tables", "_validate_table",
     ):
         monkeypatch.setattr(teleport, name, forbidden)
     clear_caches()
@@ -291,6 +291,24 @@ def test_derive_rejects_bad_width():
         derive_corrections(5)
 
 
+@pytest.mark.parametrize("n", range(1, 5))
+def test_mask_tables_apply_each_pauli_string_as_its_gather(n):
+    # (Z^z X^x a)[i] == signs[z, i] * a[xor[x, i]], with bit j of each mask
+    # (from the most significant) on b_{j+1}, for every (x, z) pair.
+    xor, signs = teleport._mask_tables(n)
+    assert not xor.flags.writeable and not signs.flags.writeable
+    _, _, bs = protocol_labels(n)
+    a = rand_state(np.random.default_rng(n), n).amps
+    for x in range(2 ** n):
+        for z in range(2 ** n):
+            bits = [(x >> (n - 1 - j) & 1, z >> (n - 1 - j) & 1) for j in range(n)]
+            string = PauliString.from_pairs(
+                (b, PauliFactor.from_bits(*xz)) for b, xz in zip(bs, bits)
+            )
+            perm, sign = string.gather(bs)
+            assert (signs[z] * a[xor[x]]).tobytes() == (a[perm] * sign).tobytes()
+
+
 def test_solver_flags_ambiguity_on_poor_fiducials():
     # A single basis state cannot distinguish X from ZX on the flipped qubit.
     inputs = np.array([[1, 0]], dtype=complex)
@@ -310,7 +328,7 @@ def test_solver_flags_unrecoverable_remainders():
 
 def test_derivation_failure_names_branch_width_and_tolerance(monkeypatch):
     # Hadamard-rotate the |+> fiducial's remainder on branch 10 (phi-):
-    # X|+> becomes |0>, which no X-part-fixed candidate returns to |+>.
+    # X|+> becomes |0>, which no Pauli string returns to |+>.
     h = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
     real = teleport._receiver_rows
 
