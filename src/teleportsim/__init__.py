@@ -20,7 +20,7 @@ from .cli import CampaignConfig, run_campaign
 from . import bell, harness, qstate, teleport
 
 # Every memo cache. Gather forms live on the strings corrections_from_message holds.
-PACKAGE_CACHES = (qstate._transpose, bell._bras, bell._pair_first, teleport.protocol_labels,
+PACKAGE_CACHES = (qstate._transpose, qstate._targets_first, bell._bras, teleport.protocol_labels,
                   teleport.base_factor_map, teleport._joint, teleport._mask_tables,
                   harness.corrections_from_message)
 

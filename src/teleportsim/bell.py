@@ -8,7 +8,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import PROB_SUM_TOL, StateVector, _state, make_state, project_qubits, reorder
+from .qstate import (PROB_SUM_TOL, StateVector, _check_register, _state, _targets_first,
+                     make_state, project_qubits, reorder)
 
 _S = 1 / math.sqrt(2)
 
@@ -61,12 +62,6 @@ def _bras() -> tuple[tuple[BellState, np.ndarray], ...]:
     return bras
 
 
-@functools.lru_cache(maxsize=256)
-def _pair_first(qubits: tuple[str, ...], pair: tuple[str, str]) -> tuple[str, ...]:
-    """The register order with the measured pair moved to the front."""
-    return pair + tuple(q for q in qubits if q not in pair)
-
-
 def encode(kinds: Iterable[BellState]) -> str:
     """The classical message for a sequence of outcomes: two bits each, in order."""
     return "".join(map(_BITS.__getitem__, kinds))
@@ -81,9 +76,7 @@ def decode(code: str) -> tuple[BellState, ...]:
 
 def bell_pair(kind: BellState, a: str, b: str) -> StateVector:
     """A fresh Bell pair of the given kind on qubits (a, b)."""
-    if a == b:
-        raise ValueError(f"Bell pair needs two distinct qubits, got {a!r} twice")
-    return _state((a, b), kind.amplitudes)
+    return _state(_check_register((a, b)), kind.amplitudes)
 
 
 def measure_bell_branches(
@@ -103,7 +96,7 @@ def measure_bell_branches(
     # A leading or trailing pair needs no copy: project_qubits contracts it
     # in place, and a copy of a trailing one would change the last bits.
     if pair != state.qubits[:2] and pair != state.qubits[-2:]:
-        state = reorder(state, _pair_first(state.qubits, pair))
+        state = reorder(state, _targets_first(state.qubits, pair))
     branches = []
     total = 0.0
     for kind, bra in _bras():

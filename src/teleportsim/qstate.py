@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -77,9 +78,14 @@ class StateVector:
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the computational basis state written as a bit string."""
-        if len(bits) != self.n_qubits or set(bits) - {"0", "1"}:
-            raise ValueError(f"need {self.n_qubits} bits, got {bits!r}")
-        return complex(self.amps[int(bits, 2)]) if bits else complex(self.amps[0])
+        return complex(self.amps[_basis_index(bits, self.n_qubits)])
+
+
+def _basis_index(bits: str, n: int) -> int:
+    """The amplitude index an n-bit string names, first bit most significant."""
+    if len(bits) != n or set(bits) - {"0", "1"}:
+        raise ValueError(f"basis bit string {bits!r} needs exactly {n} bits, each 0 or 1")
+    return int(bits, 2) if bits else 0
 
 
 _set_qubits, _set_amps = StateVector.qubits.__set__, StateVector.amps.__set__
@@ -96,18 +102,19 @@ def _state(qubits: Iterable[str], amps: np.ndarray) -> StateVector:
     return state
 
 
-def _check_cap(qubits: Sequence[str], error: type[ValueError] = ValueError) -> None:
-    """The register cap, checked before any amplitude is allocated, drawn or read."""
+def _check_register(qubits: Sequence[str], error: type[ValueError] = ValueError) -> tuple:
+    """The register as a tuple, its labels distinct and within the cap; called before any amplitude."""
+    qubits = tuple(qubits)
+    if len(set(qubits)) != len(qubits):
+        raise error(f"duplicate qubit labels in {qubits}")
     if len(qubits) > MAX_QUBITS:
         raise error(f"register of {len(qubits)} qubits exceeds the {MAX_QUBITS}-qubit cap")
+    return qubits
 
 
 def make_state(qubits: Sequence[str], amps) -> StateVector:
     """Build a normalized StateVector, validating shape and finiteness."""
-    qubits = tuple(qubits)
-    if len(set(qubits)) != len(qubits):
-        raise ValueError(f"duplicate qubit labels in {qubits}")
-    _check_cap(qubits)
+    qubits = _check_register(qubits)
     # Copy: strided views (e.g. amps[0::2]) must not leak into the state,
     # and the float reinterpretation below needs a contiguous buffer.
     a = np.array(amps, dtype=complex).reshape(-1)
@@ -132,14 +139,12 @@ def make_state(qubits: Sequence[str], amps) -> StateVector:
 
 def computational_basis_state(qubits: Sequence[str], index: int | str) -> StateVector:
     """Basis state |index>; index may be an int or a bit string."""
-    _check_cap(qubits)
+    _check_register(qubits)
     n = len(qubits)
-    if isinstance(index, str):
-        if len(index) != n or set(index) - {"0", "1"}:
-            raise ValueError(f"basis bit string {index!r} needs exactly {n} bits, each 0 or 1")
-        i = int(index, 2) if index else 0
-    else:
-        i = int(index)
+    try:  # an int index may be a NumPy integer or a bool, never a truncated float
+        i = _basis_index(index, n) if isinstance(index, str) else operator.index(index)
+    except TypeError:
+        raise ValueError(f"basis index {index!r} is not an integer") from None
     if not 0 <= i < 2 ** n:
         raise ValueError(f"basis index {index!r} out of range for {n} qubits")
     a = np.zeros(2 ** n, dtype=complex)
@@ -149,19 +154,16 @@ def computational_basis_state(qubits: Sequence[str], index: int | str) -> StateV
 
 def with_labels(state: StateVector, labels: Sequence[str]) -> StateVector:
     """Same amplitudes under new qubit labels (positional relabeling)."""
-    labels = tuple(labels)
     if len(labels) != state.n_qubits:
         raise ValueError(f"need {state.n_qubits} labels, got {len(labels)}")
-    if len(set(labels)) != len(labels):
-        raise ValueError(f"duplicate qubit labels in {labels}")
-    return _state(labels, state.amps)
+    return _state(_check_register(labels), state.amps)
 
 
 def random_state(qubits: Sequence[str], rng: np.random.Generator) -> StateVector:
     """Haar-distributed pure state over the given qubits."""
     if rng is None:
         raise ValueError("a seeded random generator is required")
-    _check_cap(qubits)
+    _check_register(qubits)
     dim = 2 ** len(qubits)
     a = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return make_state(qubits, a)
@@ -169,16 +171,10 @@ def random_state(qubits: Sequence[str], rng: np.random.Generator) -> StateVector
 
 def tensor(a: StateVector, b: StateVector) -> StateVector:
     """Tensor product; a's qubits stay most significant."""
-    overlap = set(a.qubits) & set(b.qubits)
-    if overlap:
-        raise ValueError(f"registers overlap on {sorted(overlap)}")
-    if a.n_qubits + b.n_qubits > MAX_QUBITS:
-        raise ValueError(
-            f"combined register of {a.n_qubits + b.n_qubits} qubits exceeds the {MAX_QUBITS}-qubit cap"
-        )
+    qubits = _check_register(a.qubits + b.qubits)
     # The outer product is np.kron's own broadcast multiply for 1-D
     # inputs, without its wrapper: the same bits.
-    return _state(a.qubits + b.qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
+    return _state(qubits, np.multiply.outer(a.amps, b.amps).reshape(-1))
 
 
 def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateVector:
@@ -196,6 +192,15 @@ def _transpose(qubits: tuple[str, ...], new_order: tuple[str, ...]) -> tuple[tup
     if len(new_order) != len(qubits) or set(new_order) != set(qubits):
         raise ValueError(f"{new_order} is not a permutation of {qubits}")
     return (2,) * len(qubits), tuple(map(qubits.index, new_order))
+
+
+@functools.lru_cache(maxsize=256)
+def _targets_first(qubits: tuple[str, ...], targets: tuple[str, ...]) -> tuple[str, ...]:
+    """The register order with the targets, in their order, in front; a raise is not cached."""
+    for q in targets:
+        if q not in qubits:
+            raise ValueError(f"unknown qubit {q!r}; register is {qubits}")
+    return targets + tuple(q for q in qubits if q not in targets)
 
 
 def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
@@ -232,7 +237,7 @@ def project_qubits(
     register with the targets moved to the front, without its wrapper.
     When the targets already lead or trail the register the move is a
     view, so callers projecting one register several times reorder it once.
-    Leading targets are read as that same view directly, with no axis scan.
+    Leading targets are read as that same view; others move in _targets_first order.
     """
     targets = tuple(targets)
     if len(set(targets)) != len(targets):
@@ -244,10 +249,10 @@ def project_qubits(
         t = state.amps.reshape(2 ** k, -1)
         keep = state.qubits[k:]
     else:
-        axes = [state.axis(q) for q in targets]
-        rest = [i for i in range(state.n_qubits) if i not in axes]
-        t = state.amps.reshape([2] * state.n_qubits).transpose(axes + rest).reshape(2 ** k, -1)
-        keep = tuple(state.qubits[i] for i in rest)
+        order = _targets_first(state.qubits, targets)
+        shape, axes = _transpose(state.qubits, order)
+        t = state.amps.reshape(shape).transpose(axes).reshape(2 ** k, -1)
+        keep = order[k:]
     # ndarray.dot is np.dot's C routine without the dispatcher: the same bits.
     rem = bra.dot(t)
     prob = float(np.vdot(rem, rem).real)
@@ -283,8 +288,7 @@ def parse_state_literal(text: str) -> StateVector:
     ]
     if not rows:
         raise StateFormatError("empty state literal")
-    labels = tuple(rows[0][1].split())
-    _check_cap(labels, StateFormatError)  # before any row, so an over-wide literal names the cap
+    labels = _check_register(rows[0][1].split(), StateFormatError)  # before any row is read
     expected = 2 ** len(labels)
     amps = []
     for lineno, row in rows[1:]:

@@ -42,6 +42,8 @@ from .qstate import (
     MAX_QUBITS,
     SOLVE_TOL,
     StateVector,
+    _targets_first,
+    _transpose,
     make_state,
     random_state,
     reorder,
@@ -153,6 +155,8 @@ class CorrectionTable:
             seq = decode(code)
             if seq in entries:
                 raise ValueError(f"repeated outcome code {code!r}")
+            if not toks.split():  # to_text writes I for the identity: a bare code is cut short
+                raise ValueError(f"outcome code {code!r} has no correction tokens")
             entries[seq] = parse_pauli_tokens(toks)
         return cls(n, resource, entries)
 
@@ -242,16 +246,15 @@ def _joint(xi: StateVector, resource: BellState) -> StateVector:
     The pairs never depend on the input, so a campaign's sessions share
     one register, built on the first walk. The key is the input object
     itself (StateVector compares by identity), and the cached amplitudes
-    are read-only. The order is the one measure_bell_branches builds for
-    the first pair, so that measurement reads a view, with the same bits.
+    are read-only. The order is _targets_first's, as measure_bell_branches
+    builds it for the first pair, so that measurement reads a view.
     """
     n = xi.n_qubits
     xs, ans, bs = protocol_labels(n)
     joint = with_labels(xi, xs)
     for i in range(n, 0, -1):
         joint = tensor(joint, bell_pair(resource, ans[i - 1], bs[i - 1]))
-    first = (xs[-1], ans[-1])
-    return reorder(joint, first + tuple(q for q in joint.qubits if q not in first))
+    return reorder(joint, _targets_first(joint.qubits, (xs[-1], ans[-1])))
 
 
 def _walk(
@@ -299,13 +302,12 @@ def enumerate_protocol_branches(
 def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:
     """One walk's 4^n receivers as a (4^n, 2^n) array: rows in canonical
     outcome order, amplitudes in (b1..bn) bit order."""
-    n = xi.n_qubits
-    _, _, bs = protocol_labels(n)
+    _, _, bs = protocol_labels(xi.n_qubits)
     branches = enumerate_protocol_branches(xi, resource)
     # Every branch ends on the same labels, so one transpose orders them all.
-    axes = [1 + branches[0][2].axis(b) for b in bs]
+    shape, axes = _transpose(branches[0][2].qubits, bs)
     rows = np.stack([receiver.amps for _, _, receiver in branches])
-    return rows.reshape([len(rows)] + [2] * n).transpose([0] + axes).reshape(len(rows), -1)
+    return rows.reshape(-1, *shape).transpose(0, *(1 + a for a in axes)).reshape(len(rows), -1)
 
 
 def _finish(

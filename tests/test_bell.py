@@ -90,7 +90,7 @@ def test_bell_states_are_orthonormal():
 
 
 def test_bell_pair_rejects_equal_labels():
-    with pytest.raises(ValueError, match="distinct"):
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
         bell_pair(BellState.PHI_PLUS, "a", "a")
 
 

@@ -403,8 +403,10 @@ def test_invalid_orders_raise_on_every_call():
         for bad in (("q1", "q2"), ("q1", "q2", "q4"), ("q1", "q1", "q2")):
             with pytest.raises(ValueError, match="is not a permutation of"):
                 reorder(s, bad)
-        with pytest.raises(ValueError, match="is not a permutation of"):
+        with pytest.raises(ValueError, match="unknown qubit 'a1'"):
             measure_bell_branches(s, ("q2", "a1"))
+        with pytest.raises(ValueError, match="unknown qubit 'a1'"):
+            project_qubits(s, ("q2", "a1"), np.full(4, 0.5))
         for build in (p.gather, p.matrix, lambda order: p.apply(s)):
             with pytest.raises(ValueError, match="unknown qubit 'a1'"):
                 build(s.qubits)

@@ -80,17 +80,30 @@ def test_register_cap_is_sixteen():
         make_state(labels(17), np.zeros(2 ** 17))
 
 
-@pytest.mark.parametrize("build", [random_state, lambda qubits, _: computational_basis_state(qubits, 0)],
-                         ids=["random", "basis"])
-def test_over_wide_register_is_rejected_before_any_amplitude(build):
-    # 2^17 amplitudes take 2 MB; the cap must be named before any is
-    # allocated, and before a random state draws from the caller's generator.
+def _basis(qubits, _):
+    return computational_basis_state(qubits, 0)
+
+
+_CAP = "17 qubits exceeds the 16-qubit cap"
+_REPEATED = re.escape(f"duplicate qubit labels in {('q',) * 16}")
+
+
+@pytest.mark.parametrize("build, qubits, match", [
+    (random_state, labels(17), _CAP),
+    (_basis, labels(17), _CAP),
+    (random_state, ("q",) * 16, _REPEATED),
+    (_basis, ("q",) * 16, _REPEATED),
+], ids=["random", "basis", "random-repeated", "basis-repeated"])
+def test_over_wide_register_is_rejected_before_any_amplitude(build, qubits, match):
+    # 2^17 amplitudes take 2 MB, and 16 copies of one label would ask for
+    # 1 MB; the register's rule must be named before any is allocated, and
+    # before a random state draws from the caller's generator.
     rng = np.random.default_rng(3)
     drawn = rng.bit_generator.state
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="17 qubits exceeds the 16-qubit cap"):
-            build(labels(17), rng)
+        with pytest.raises(ValueError, match=match):
+            build(qubits, rng)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -174,6 +187,25 @@ def test_basis_state_rejects_a_bit_string_of_the_wrong_form(bits):
         computational_basis_state(("q1", "q2"), bits)
 
 
+@pytest.mark.parametrize("index", [1.7, 1.0, np.float64(1.0), b"1", None],
+                         ids=["fraction", "float", "numpy-float", "bytes", "none"])
+def test_basis_state_rejects_an_index_that_is_not_an_integer(index):
+    # int() would truncate 1.7 to |1>; the index is read as an integer or not at all.
+    with pytest.raises(ValueError, match=re.escape(f"basis index {index!r} is not an integer")):
+        computational_basis_state(("a",), index)
+
+
+@pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1), True])
+def test_basis_state_takes_any_integer_index(index):
+    assert computational_basis_state(("a",), index).amplitude("1") == 1.0
+
+
+def test_amplitude_reads_its_bits_as_the_basis_state_does():
+    s = computational_basis_state(("q1", "q2"), "10")
+    with pytest.raises(ValueError, match=re.escape("'1' needs exactly 2 bits, each 0 or 1")):
+        s.amplitude("1")
+
+
 def test_with_labels_keeps_amplitudes():
     s = make_state(("p", "q"), [1, 2, 3, 4])
     t = with_labels(s, ("x1", "x2"))
@@ -209,7 +241,7 @@ def test_tensor_first_factor_is_most_significant():
 
 def test_tensor_rejects_overlap():
     a = computational_basis_state(("q1",), 0)
-    with pytest.raises(ValueError, match="overlap"):
+    with pytest.raises(ValueError, match="duplicate qubit labels"):
         tensor(a, a)
 
 
@@ -429,6 +461,12 @@ def test_literal_truncation_names_missing_index():
 def test_literal_bad_row_names_line():
     with pytest.raises(StateFormatError, match="line 3"):
         parse_state_literal("x1\n1,0\nnot-a-number\n")
+
+
+def test_literal_with_a_repeated_label_is_rejected_before_any_row():
+    # The labels are named, not the malformed row after them.
+    with pytest.raises(StateFormatError, match=re.escape("duplicate qubit labels in ('x1', 'x1')")):
+        parse_state_literal("x1 x1\nnot-a-row\n")
 
 
 def test_literal_extra_rows_rejected():

@@ -388,6 +388,13 @@ def test_table_from_text_rejects_bad_code():
         CorrectionTable.from_text(composed_table(1).to_text() + "00 X@b1\n", 1, PSIM)
 
 
+def test_table_from_text_rejects_a_row_without_tokens():
+    # to_text writes I for the identity, so a bare code is a row cut short.
+    for text in ("00\n01 Z@b1\n10 X@b1\n11 ZX@b1\n", "00   \n01 Z@b1\n10 X@b1\n11 ZX@b1\n"):
+        with pytest.raises(ValueError, match="outcome code '00' has no correction tokens"):
+            CorrectionTable.from_text(text, 1, PSIM)
+
+
 def test_validation_names_the_wrong_row():
     table = composed_table(2)
     entries = dict(table.entries)
