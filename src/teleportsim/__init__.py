@@ -17,12 +17,13 @@ from .teleport import (
 )
 from .harness import run_session
 from .cli import CampaignConfig, run_campaign
-from . import bell, harness, qstate, teleport
+from . import bell, qstate, teleport
 
-# Every memo cache. Gather forms live on the strings corrections_from_message holds.
+# Every memo cache. Gather forms live on the strings corrections_from_message
+# holds, which sessions and composed tables share.
 PACKAGE_CACHES = (qstate._transpose, qstate._targets_first, bell._bras, teleport.protocol_labels,
                   teleport.base_factor_map, teleport._joint, teleport._mask_tables,
-                  harness.corrections_from_message)
+                  teleport.corrections_from_message)
 
 
 def clear_caches() -> None:

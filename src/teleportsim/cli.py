@@ -20,6 +20,7 @@ from .harness import run_session, session_generators
 from .qstate import (
     EXIT_FIDELITY_TOL,
     StateVector,
+    _as_index,
     computational_basis_state,
     make_state,
     parse_state_literal,
@@ -65,9 +66,9 @@ class CampaignConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode")
-        if self.trials < 1:
+        if _as_index(self.trials, "trials") < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.seed < 0:
+        if _as_index(self.seed, "seed") < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

@@ -9,14 +9,12 @@ emitted therefore cannot change the receiver's result.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterator
 
 import numpy as np
 
-from .bell import BellState, decode, encode
-from .pauli import PauliString
+from .bell import BellState, encode
 from .qstate import StateVector
 from .teleport import (
     MAX_PROTOCOL_WIDTH,
@@ -24,18 +22,8 @@ from .teleport import (
     _finish,
     _walk,
     check_width,
-    composed_correction,
+    corrections_from_message,
 )
-
-
-# A pure function of immutable arguments; 1024 entries hold every width-5 message.
-# Both arguments are positional-only, so each (message, resource) has one key.
-@functools.lru_cache(maxsize=4 ** MAX_PROTOCOL_WIDTH)
-def corrections_from_message(message: str, resource: BellState, /) -> PauliString:
-    """The receiver's correction, computed from the message bits alone."""
-    kinds = decode(message)
-    check_width(len(kinds), MAX_PROTOCOL_WIDTH, "message")
-    return composed_correction(kinds, resource)
 
 # NumPy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx, pcg64.c).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED

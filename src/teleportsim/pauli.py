@@ -24,6 +24,7 @@ from .qstate import (
     ZX_GATE,
     StateVector,
     _state,
+    _targets_first,
     _transpose,
 )
 
@@ -127,10 +128,8 @@ class PauliString:
 
     def _on(self, order: tuple[str, ...]) -> tuple[PauliFactor, ...]:
         """The factor on each qubit of `order`; one outside it raises, not vanishes."""
+        _targets_first(order, self.qubits)
         by_qubit = dict(self.factors)
-        for q in by_qubit:
-            if q not in order:
-                raise ValueError(f"unknown qubit {q!r}; register is {order}")
         return tuple(by_qubit.get(q, PauliFactor.I) for q in order)
 
     def gather(

@@ -81,6 +81,14 @@ class StateVector:
         return complex(self.amps[_basis_index(bits, self.n_qubits)])
 
 
+def _as_index(value, what: str) -> int:
+    """An integer argument as an int: a NumPy integer or a bool passes, never a truncated float."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} {value!r} is not an integer") from None
+
+
 def _basis_index(bits: str, n: int) -> int:
     """The amplitude index an n-bit string names, first bit most significant."""
     if len(bits) != n or set(bits) - {"0", "1"}:
@@ -141,10 +149,7 @@ def computational_basis_state(qubits: Sequence[str], index: int | str) -> StateV
     """Basis state |index>; index may be an int or a bit string."""
     _check_register(qubits)
     n = len(qubits)
-    try:  # an int index may be a NumPy integer or a bool, never a truncated float
-        i = _basis_index(index, n) if isinstance(index, str) else operator.index(index)
-    except TypeError:
-        raise ValueError(f"basis index {index!r} is not an integer") from None
+    i = _basis_index(index, n) if isinstance(index, str) else _as_index(index, "basis index")
     if not 0 <= i < 2 ** n:
         raise ValueError(f"basis index {index!r} out of range for {n} qubits")
     a = np.zeros(2 ** n, dtype=complex)
@@ -214,10 +219,7 @@ def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
 
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 between states over the same qubit set, in any order."""
-    if sorted(a.qubits) != sorted(b.qubits):
-        raise ValueError(f"qubit sets differ: {a.qubits} vs {b.qubits}")
-    if a.qubits != b.qubits:
-        b = reorder(b, a.qubits)
+    b = reorder(b, a.qubits)
     return float(abs(np.vdot(a.amps, b.amps)) ** 2)
 
 

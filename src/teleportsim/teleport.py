@@ -42,6 +42,7 @@ from .qstate import (
     MAX_QUBITS,
     SOLVE_TOL,
     StateVector,
+    _as_index,
     _targets_first,
     _transpose,
     make_state,
@@ -62,7 +63,7 @@ MAX_REFERENCE_WIDTH = max(_REFERENCE_ROWS)
 
 def check_width(n: int, limit: int, what: str) -> None:
     """The one width check: `what` supports widths 1..limit."""
-    if not 1 <= n <= limit:
+    if not 1 <= _as_index(n, f"{what}: n") <= limit:
         raise ValueError(f"{what}: n must be 1..{limit}, got {n}")
 
 
@@ -211,20 +212,25 @@ def base_factor_map(resource: BellState) -> Mapping[BellState, PauliFactor]:
     return {k: PauliFactor.from_bits(f.x ^ r.x, f.z ^ r.z) for k, f in PSI_MINUS_FACTORS.items()}
 
 
-def composed_correction(kinds: Sequence[BellState], resource: BellState) -> PauliString:
-    """Engine-route correction: one base factor per pair, composed.
-
-    `kinds` is in measurement order (pair n first), so its last outcome
-    corrects b1.
-    """
+# A pure function of immutable arguments; 1024 entries hold every width-5 message.
+# Both arguments are positional-only, so each (message, resource) has one key.
+@functools.lru_cache(maxsize=4 ** MAX_PROTOCOL_WIDTH)
+def corrections_from_message(message: str, resource: BellState, /) -> PauliString:
+    """The receiver's correction from the message bits alone: one base factor
+    per pair, composed. The message is in measurement order (pair n first),
+    so its last outcome corrects b1."""
+    kinds = decode(message)
+    check_width(len(kinds), MAX_PROTOCOL_WIDTH, "message")
     m = base_factor_map(resource)
     _, _, bs = protocol_labels(len(kinds))
     return PauliString.from_pairs((b, m[k]) for b, k in zip(bs, reversed(kinds)))
 
 
 def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> CorrectionTable:
-    """The engine's full table for width n."""
-    entries = {seq: composed_correction(seq, resource) for seq in outcome_sequences(n)}
+    """The engine's full table for width n, sharing the sessions' cached corrections."""
+    check_width(n, MAX_PROTOCOL_WIDTH, "composed table")
+    entries = {seq: corrections_from_message(encode(seq), resource)
+               for seq in outcome_sequences(n)}
     return CorrectionTable(n, resource, entries)
 
 

@@ -89,6 +89,14 @@ def test_config_validation():
         CampaignConfig(seed=-1)
 
 
+@pytest.mark.parametrize("field, mode", [("n", "derive-table"), ("n", "sample"),
+                                         ("trials", "sample"), ("seed", "sample")])
+def test_config_rejects_a_non_integral_width_or_count(field, mode):
+    # Named before any campaign runs, not a TypeError from range or spawn.
+    with pytest.raises(ValueError, match=rf"{field} 2\.5 is not an integer"):
+        CampaignConfig(mode=mode, **{field: 2.5})
+
+
 def test_fixture_states():
     zero = fixture_state("zero", 2)
     assert zero.amplitude("00") == 1

@@ -29,7 +29,6 @@ from teleportsim import clear_caches, harness, teleport
 from teleportsim.bell import (
     BellState,
     bell_pair,
-    decode,
     draw_branch,
     encode,
     measure_bell_branches,
@@ -57,7 +56,6 @@ from teleportsim.teleport import (
     CorrectionTable,
     NoCorrectionError,
     _validate_table,
-    composed_correction,
     composed_table,
     enumerate_protocol_branches,
     outcome_sequences,
@@ -673,7 +671,7 @@ def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
     calls += [(m, r) for m in messages for r in BellState]
     for message, resource in calls:
         got = harness.corrections_from_message(message, resource)
-        want = composed_correction(decode(message), resource)
+        want = teleport.corrections_from_message.__wrapped__(message, resource)
         assert got == want and got.op_count == want.op_count
     assert harness.corrections_from_message.cache_info().misses == len(calls) // 2
 

@@ -26,7 +26,7 @@ from teleportsim.qstate import random_state
 from teleportsim.teleport import (
     _finish,
     _walk,
-    composed_correction,
+    corrections_from_message,
     protocol_labels,
     teleport_branches,
 )
@@ -157,7 +157,7 @@ def input_state(n: int):
 
 def engine_sampled_run(xi, seed, resource: BellState):
     [(outcomes, prob, receiver)] = _walk(xi, resource, np.random.default_rng(seed))
-    corr = composed_correction(outcomes, resource)
+    corr = corrections_from_message.__wrapped__(encode(outcomes), resource)
     return _finish(xi, outcomes, prob, receiver, resource, corr, encode(outcomes))
 
 

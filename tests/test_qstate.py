@@ -368,7 +368,7 @@ def test_fidelity_reorders_internally():
 def test_fidelity_rejects_mismatched_sets():
     a = computational_basis_state(("p",), 0)
     b = computational_basis_state(("q",), 0)
-    with pytest.raises(ValueError, match="differ"):
+    with pytest.raises(ValueError, match="is not a permutation of"):
         fidelity(a, b)
 
 

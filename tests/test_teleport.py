@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import clear_caches, teleport
-from teleportsim.bell import BellState, measure_bell_branches
+from teleportsim.bell import BellState, encode, measure_bell_branches
 from teleportsim.harness import corrections_from_message, run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
@@ -21,7 +21,6 @@ from teleportsim.teleport import (
     NoCorrectionError,
     _solve_correction,
     certify_table,
-    composed_correction,
     composed_table,
     derive_corrections,
     enumerate_protocol_branches,
@@ -244,7 +243,7 @@ def test_oracle_never_consults_the_composed_rule_or_the_fixture(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the derivation oracle must stay independent")
 
-    for name in ("composed_correction", "base_factor_map", "reference_table"):
+    for name in ("corrections_from_message", "base_factor_map", "reference_table"):
         monkeypatch.setattr(teleport, name, forbidden)
     for n in (1, 2, 3):
         assert len(derive_corrections(n).entries) == 4 ** n
@@ -404,10 +403,34 @@ def test_validation_names_the_wrong_row():
         teleport._validate_table(wrong)
 
 
-def test_composed_correction_orders_by_measurement():
+def test_corrections_from_message_orders_by_measurement():
     # Outcome list is (pair 2, pair 1); factors land on (b2, b1) respectively.
-    corr = composed_correction((PHIM, PSIP), PSIM)
+    corr = corrections_from_message(encode((PHIM, PSIP)), PSIM)
     assert dict(corr.factors) == {"b2": PauliFactor.X, "b1": PauliFactor.Z}
+
+
+def test_composed_table_shares_the_sessions_cached_corrections():
+    # One rule, one cache: a table's entry is the very string a session uses.
+    clear_caches()
+    for resource in BellState:
+        for n in (1, 2, 3):
+            table = composed_table(n, resource)
+            for seq, corr in table.entries.items():
+                assert corr is corrections_from_message(encode(seq), resource)
+
+
+@pytest.mark.parametrize("n", [0, 6])
+def test_composed_table_rejects_bad_width(n):
+    with pytest.raises(ValueError, match=f"composed table: n must be 1..5, got {n}"):
+        composed_table(n)
+
+
+@pytest.mark.parametrize("build", [composed_table, derive_corrections])
+def test_non_integral_width_is_named_not_a_type_error(build):
+    with pytest.raises(ValueError, match=r"n 2\.5 is not an integer"):
+        build(2.5)
+    # A NumPy integer is an integer.
+    assert build(np.int64(1)).n == 1
 
 
 # --- certification ---------------------------------------------------------
