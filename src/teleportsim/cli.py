@@ -66,9 +66,12 @@ class CampaignConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode")
-        if _as_index(self.trials, "trials") < 1:
+        # Plain ints for the report: json rejects a NumPy integer and writes a bool as true.
+        for name in ("n", "trials", "seed"):
+            object.__setattr__(self, name, _as_index(getattr(self, name), name))
+        if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if _as_index(self.seed, "seed") < 0:
+        if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 

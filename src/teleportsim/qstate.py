@@ -24,6 +24,9 @@ PROB_SUM_TOL = 1e-9  # branch probabilities summing further from 1 mean a bug
 SOLVE_TOL = 1e-9  # a correct candidate reaches 1 - this; a wrong one scores 0 on some fiducial
 EXIT_FIDELITY_TOL = 1e-9  # the CLI's failure line: broken corrections fall far below it
 MAX_QUBITS = 16
+# np.vdot's C routine without the array-function dispatcher (NEP 18): the
+# same routine on the same arguments, so the same bits.
+_vdot = np.vdot._implementation
 
 
 class StateFormatError(ValueError):
@@ -201,7 +204,9 @@ def _transpose(qubits: tuple[str, ...], new_order: tuple[str, ...]) -> tuple[tup
 
 @functools.lru_cache(maxsize=256)
 def _targets_first(qubits: tuple[str, ...], targets: tuple[str, ...]) -> tuple[str, ...]:
-    """The register order with the targets, in their order, in front; a raise is not cached."""
+    """The register order with the distinct targets, in their order, in front; a raise is not cached."""
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate projection targets in {targets}")
     for q in targets:
         if q not in qubits:
             raise ValueError(f"unknown qubit {q!r}; register is {qubits}")
@@ -220,7 +225,7 @@ def reorder(state: StateVector, new_order: Sequence[str]) -> StateVector:
 def fidelity(a: StateVector, b: StateVector) -> float:
     """|<a|b>|^2 between states over the same qubit set, in any order."""
     b = reorder(b, a.qubits)
-    return float(abs(np.vdot(a.amps, b.amps)) ** 2)
+    return float(abs(_vdot(a.amps, b.amps)) ** 2)
 
 
 def project_qubits(
@@ -242,22 +247,23 @@ def project_qubits(
     Leading targets are read as that same view; others move in _targets_first order.
     """
     targets = tuple(targets)
-    if len(set(targets)) != len(targets):
-        raise ValueError(f"duplicate projection targets in {targets}")
+    qubits = state.qubits
     k = len(targets)
     if bra.shape != (2 ** k,):
         raise ValueError(f"bra has shape {bra.shape}, not ({2 ** k},)")
-    if state.qubits[:k] == targets:
+    # Leading targets are distinct, as every register's labels are; any
+    # other targets are checked for repeats in _targets_first.
+    if qubits[:k] == targets:
         t = state.amps.reshape(2 ** k, -1)
-        keep = state.qubits[k:]
+        keep = qubits[k:]
     else:
-        order = _targets_first(state.qubits, targets)
-        shape, axes = _transpose(state.qubits, order)
+        order = _targets_first(qubits, targets)
+        shape, axes = _transpose(qubits, order)
         t = state.amps.reshape(shape).transpose(axes).reshape(2 ** k, -1)
         keep = order[k:]
     # ndarray.dot is np.dot's C routine without the dispatcher: the same bits.
     rem = bra.dot(t)
-    prob = float(np.vdot(rem, rem).real)
+    prob = float(_vdot(rem, rem).real)
     if prob < IMPOSSIBLE_PROB:
         return prob, None
     # The product is fresh, so it is normalized in place. Division's bits

@@ -23,7 +23,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,6 +45,7 @@ from .qstate import (
     _as_index,
     _targets_first,
     _transpose,
+    _vdot,
     make_state,
     random_state,
     reorder,
@@ -162,9 +163,9 @@ class CorrectionTable:
         return cls(n, resource, entries)
 
 
-@dataclass(frozen=True)
-class ProtocolTranscript:
-    """Record of one protocol execution (sampled or enumerated)."""
+class ProtocolTranscript(NamedTuple):
+    """Record of one protocol execution (sampled or enumerated). A NamedTuple:
+    immutable, compared by value, and cheaper for every session to build."""
 
     n: int
     resource: BellState
@@ -330,7 +331,7 @@ def _finish(
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
     final = corr.apply(receiver, bs)
-    overlap = complex(np.vdot(xi.amps, final.amps))
+    overlap = complex(_vdot(xi.amps, final.amps))
     residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
     return ProtocolTranscript(
         n=n,

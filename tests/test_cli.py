@@ -97,6 +97,16 @@ def test_config_rejects_a_non_integral_width_or_count(field, mode):
         CampaignConfig(mode=mode, **{field: 2.5})
 
 
+def test_config_stores_plain_ints():
+    # A NumPy integer reports as the int it names, and a bool width as 1, not true.
+    plain = run_campaign(CampaignConfig(n=2, trials=5, seed=3)).to_json()
+    numpy_ints = CampaignConfig(n=np.int64(2), trials=np.int64(5), seed=np.uint32(3))
+    assert run_campaign(numpy_ints).to_json() == plain
+    cfg = CampaignConfig(n=True, mode="certify")
+    assert type(cfg.n) is int and cfg.n == 1
+    assert '"n": 1,' in run_campaign(cfg).to_json()
+
+
 def test_fixture_states():
     zero = fixture_state("zero", 2)
     assert zero.amplitude("00") == 1

@@ -5,7 +5,8 @@ permutation.
 
 The references below are the earlier engine kept as test-local copies:
 `np.kron` tensor products, the `np.cumsum`/`np.searchsorted` branch draw,
-`np.tensordot` projection dividing by the norm, four projections per Bell
+`np.tensordot` projection dividing by the norm, `np.vdot` through its
+dispatcher, four projections per Bell
 measurement on the unreordered register, validation by
 `PauliString.apply` and `fidelity` one branch at a time, the solver
 gathering all 4^n candidates' signed permutations, each built by
@@ -25,7 +26,7 @@ import re
 import numpy as np
 import pytest
 
-from teleportsim import clear_caches, harness, teleport
+from teleportsim import clear_caches, harness, qstate, teleport
 from teleportsim.bell import (
     BellState,
     bell_pair,
@@ -40,6 +41,7 @@ from teleportsim.qstate import (
     IMPOSSIBLE_PROB,
     SOLVE_TOL,
     _state,
+    _vdot,
     computational_basis_state,
     fidelity,
     make_state,
@@ -50,6 +52,7 @@ from teleportsim.qstate import (
     with_labels,
 )
 from teleportsim.teleport import (
+    MAX_PROTOCOL_WIDTH,
     VALIDATION_SEED,
     VALIDATION_STATES,
     AmbiguousCorrectionError,
@@ -255,6 +258,51 @@ def test_projection_matches_tensordot_on_impossible_branches():
             assert (got[1] is None) == (kind is not BellState.PSI_MINUS)
 
 
+def vdot_cases():
+    """Pairs of equal-length arrays: random states of 0 to 13 qubits, and
+    every possible remainder of the first Bell measurement on each joint
+    register the walk builds, widths 1 to 5 and every resource."""
+    rng = np.random.default_rng(27000)
+    for n in range(14):
+        yield rand_state(rng, n).amps, rand_state(rng, n).amps
+    for n in range(1, MAX_PROTOCOL_WIDTH + 1):
+        xs, ans, _ = protocol_labels(n)
+        xi = random_state(xs, rng)
+        for resource in BellState:
+            branches = measure_bell_branches(teleport._joint(xi, resource), (xs[-1], ans[-1]))
+            rems = [rem.amps for _, _, rem in branches if rem is not None]
+            yield from zip(rems, rems[1:] + rems[:1])
+
+
+def test_vdot_matches_np_vdot_bit_for_bit():
+    # _vdot is the routine np.vdot dispatches to, called without the dispatcher.
+    for x, y in vdot_cases():
+        for a, b in ((x, x), (x, y), (y, x)):
+            got, want = _vdot(a, b), np.vdot(a, b)
+            assert type(got) is type(want)
+            assert same_bits(np.array([got]), np.array([want]))
+
+
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 5))
+def test_finish_overlap_matches_np_vdot(n, resource):
+    # Each transcript's fidelity and phase are np.vdot's overlap of the
+    # input with the corrected receiver, bit for bit.
+    xs, _, bs = protocol_labels(n)
+    inputs = [fixture_state(name, n) for name in FIXTURE_NAMES]
+    inputs.append(random_state(xs, np.random.default_rng(27100 + n)))
+    table = composed_table(n, resource)
+    for xi in inputs:
+        transcripts = teleport_branches(xi, resource)
+        branches = enumerate_protocol_branches(xi, resource)
+        for t, (outcomes, _, receiver) in zip(transcripts, branches):
+            final = table.entry(outcomes).apply(receiver, bs)
+            overlap = complex(np.vdot(xi.amps, final.amps))
+            residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
+            assert t.final_fidelity == abs(overlap) ** 2
+            assert same_bits(np.array([t.residual_phase]), np.array([residual]))
+
+
 def same_remainder(got, want) -> bool:
     """Equal probabilities and labels, amplitudes equal bit for bit with
     signed zeros."""
@@ -409,6 +457,19 @@ def test_invalid_orders_raise_on_every_call():
             with pytest.raises(ValueError, match="unknown qubit 'a1'"):
                 build(s.qubits)
     assert reorder(s, ("q3", "q1", "q2")).qubits == ("q3", "q1", "q2")
+
+
+def test_duplicate_targets_raise_on_every_call():
+    # Targets that the register does not lead with go through _targets_first,
+    # whose check runs on every call: a raise stores nothing.
+    s = computational_basis_state(("a", "b", "c"), 0)
+    stored = qstate._targets_first.cache_info().currsize
+    for _ in range(2):
+        with pytest.raises(ValueError, match=re.escape("duplicate projection targets in ('b', 'b')")):
+            project_qubits(s, ("b", "b"), np.full(4, 0.5))
+        with pytest.raises(ValueError, match=re.escape("duplicate projection targets in ('a', 'a')")):
+            measure_bell_branches(s, ("a", "a"))
+    assert qstate._targets_first.cache_info().currsize == stored
 
 
 @pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)

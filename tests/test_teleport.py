@@ -19,6 +19,7 @@ from teleportsim.teleport import (
     AmbiguousCorrectionError,
     CorrectionTable,
     NoCorrectionError,
+    ProtocolTranscript,
     _solve_correction,
     certify_table,
     composed_table,
@@ -483,3 +484,18 @@ def test_transcript_dict_has_stable_fields():
         "residual_phase", "branch_probability",
     }
     assert d["outcomes"][0]["pair"] == ["x1", "a1"]
+
+
+def test_transcript_is_an_immutable_value():
+    # The record's fields keep their names and order, cannot be set, and
+    # compare by value.
+    assert ProtocolTranscript._fields == (
+        "n", "resource", "outcomes", "message", "corrections",
+        "bell_pairs_consumed", "single_qubit_ops", "final_fidelity",
+        "residual_phase", "branch_probability",
+    )
+    first, second = teleport_branches(u())[:2]
+    with pytest.raises(AttributeError):
+        first.final_fidelity = 0.0
+    assert first == teleport_branches(u())[0]
+    assert first != second
