@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from teleportsim import certify_table, composed_table, derive_corrections, reference_table
-from teleportsim.teleport import MAX_REFERENCE_WIDTH, MAX_TABLE_WIDTH, VERDICT_MATCH, check_width
+from teleportsim.teleport import MAX_PROTOCOL_WIDTH, MAX_REFERENCE_WIDTH, VERDICT_MATCH, check_width
 
 
 def main(argv=None) -> int:
@@ -30,7 +30,7 @@ def main(argv=None) -> int:
 def certify(widths: list[int], all_rows: bool) -> int:
     # Every width is checked before the first table is derived and printed.
     for n in widths:
-        check_width(n, MAX_TABLE_WIDTH, "table derivation")
+        check_width(n, MAX_PROTOCOL_WIDTH, "table derivation")
     any_disagreement = False
     for n in widths:
         derived = derive_corrections(n)

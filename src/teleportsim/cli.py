@@ -29,7 +29,6 @@ from .qstate import (
 from .teleport import (
     MAX_PROTOCOL_WIDTH,
     MAX_REFERENCE_WIDTH,
-    MAX_TABLE_WIDTH,
     ProtocolTranscript,
     certify_table,
     check_width,
@@ -44,8 +43,8 @@ FIDELITY_EXIT_THRESHOLD = 1 - EXIT_FIDELITY_TOL
 # Mode -> widest n it supports.
 MODE_WIDTHS = {
     "sample": MAX_PROTOCOL_WIDTH,
-    "branches": MAX_TABLE_WIDTH,
-    "derive-table": MAX_TABLE_WIDTH,
+    "branches": MAX_PROTOCOL_WIDTH,
+    "derive-table": MAX_PROTOCOL_WIDTH,
     "certify": MAX_REFERENCE_WIDTH,
 }
 MODES = tuple(MODE_WIDTHS)
@@ -65,9 +64,9 @@ class CampaignConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode")
         # Plain ints for the report: json rejects a NumPy integer and writes a bool as true.
-        for name in ("n", "trials", "seed"):
+        object.__setattr__(self, "n", check_width(self.n, MODE_WIDTHS[self.mode], f"{self.mode} mode"))
+        for name in ("trials", "seed"):
             object.__setattr__(self, name, _as_index(getattr(self, name), name))
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")

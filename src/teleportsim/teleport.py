@@ -53,8 +53,7 @@ from .qstate import (
     with_labels,
 )
 
-MAX_PROTOCOL_WIDTH = MAX_QUBITS // 3  # sampled runs hold all 3n qubits at once
-MAX_TABLE_WIDTH = 4      # exhaustive enumeration and table derivation
+MAX_PROTOCOL_WIDTH = MAX_QUBITS // 3  # the one engine width: every walk holds all 3n qubits
 VALIDATION_STATES = 100  # random inputs every derived table is checked on
 VALIDATION_SEED = 0x5EED
 # The shipped fixture's tables, by width.
@@ -62,10 +61,11 @@ _REFERENCE_ROWS = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}
 MAX_REFERENCE_WIDTH = max(_REFERENCE_ROWS)
 
 
-def check_width(n: int, limit: int, what: str) -> None:
-    """The one width check: `what` supports widths 1..limit."""
-    if not 1 <= _as_index(n, f"{what}: n") <= limit:
+def check_width(n: int, limit: int, what: str) -> int:
+    """The one width check: `what` supports widths 1..limit. Returns n as a plain int."""
+    if not 1 <= (n := _as_index(n, f"{what}: n")) <= limit:
         raise ValueError(f"{what}: n must be 1..{limit}, got {n}")
+    return n
 
 
 # Single-pair rule for a psi- resource: a Bell outcome on (x, a) leaves
@@ -120,6 +120,7 @@ class CorrectionTable:
         return protocol_labels(self.n)[2]
 
     def __post_init__(self):
+        object.__setattr__(self, "n", check_width(self.n, MAX_PROTOCOL_WIDTH, "correction table"))
         expected = set(outcome_sequences(self.n))
         if set(self.entries) != expected:
             raise ValueError(
@@ -302,7 +303,7 @@ def enumerate_protocol_branches(
     xi: StateVector, resource: BellState = BellState.PSI_MINUS
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
-    check_width(xi.n_qubits, MAX_TABLE_WIDTH, "branch enumeration")
+    check_width(xi.n_qubits, MAX_PROTOCOL_WIDTH, "branch enumeration")
     return _walk(xi, resource)
 
 
@@ -390,7 +391,7 @@ def _mask_factors(x: int, z: int, n: int) -> tuple[PauliFactor, ...]:
     return tuple(PauliFactor.from_bits(x >> k & 1, z >> k & 1) for k in range(n - 1, -1, -1))
 
 
-@functools.lru_cache(maxsize=MAX_TABLE_WIDTH)
+@functools.lru_cache(maxsize=MAX_PROTOCOL_WIDTH)
 def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every width-n Pauli string by its masks, (Z^z X^x a)[i] ==
     signs[z, i] * a[xor[x, i]]: xor[x, i] = i ^ x, and row z of signs is
@@ -447,7 +448,7 @@ def derive_corrections(
     for; ambiguity or absence raises, naming the branch. The finished table
     is then validated on VALIDATION_STATES random inputs across every branch.
     """
-    check_width(n, MAX_TABLE_WIDTH, "table derivation")
+    check_width(n, MAX_PROTOCOL_WIDTH, "table derivation")
     xs, _, bs = protocol_labels(n)
     fiducials = _fiducial_states(xs)
     inputs = np.stack([f.amps for f in fiducials])

@@ -179,12 +179,12 @@ def test_branches_campaign_is_exactly_uniform():
 
 
 def test_branches_campaign_width_cap():
-    with pytest.raises(ValueError, match="branches mode: n must be 1..4"):
-        run_campaign(CampaignConfig(n=5, mode="branches"))
+    with pytest.raises(ValueError, match="branches mode: n must be 1..5"):
+        run_campaign(CampaignConfig(n=6, mode="branches"))
 
 
 def test_unsupported_width_fails_at_config(monkeypatch, capsys):
-    for mode, limit in [("sample", 5), ("branches", 4), ("derive-table", 4), ("certify", 2)]:
+    for mode, limit in [("sample", 5), ("branches", 5), ("derive-table", 5), ("certify", 2)]:
         CampaignConfig(n=limit, mode=mode)
         for n in (0, limit + 1):
             with pytest.raises(ValueError, match=f"{mode} mode: n must be 1..{limit}, got {n}"):

@@ -472,8 +472,13 @@ def test_duplicate_targets_raise_on_every_call():
     assert qstate._targets_first.cache_info().currsize == stored
 
 
-@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
-@pytest.mark.parametrize("n", range(1, 5))
+# Every resource up to width 4; the widest width, 1024 branches, for psi- alone.
+ENUMERATION_CASES = [(n, r) for n in range(1, 5) for r in BellState] + [(5, BellState.PSI_MINUS)]
+
+
+@pytest.mark.parametrize(
+    "n, resource", ENUMERATION_CASES, ids=[f"{n}-{r.value}" for n, r in ENUMERATION_CASES]
+)
 def test_enumeration_matches_reference_engine(n, resource):
     xs, _, _ = protocol_labels(n)
     xi = random_state(xs, np.random.default_rng(3000 + n))

@@ -49,6 +49,8 @@ GOLDEN = {
         "b5d2fc1f58096235bae5f5ba2b9c311f2bbf59f828f3b7df6136a9dd433df637",
     ("branches", 4, "ghz", 1, 28):
         "06b24f158604773ddbabe9ee6968a46b7de9f989fc8557bf77c7497fcf6509a7",
+    ("branches", 5, "uniform", 1, 0):
+        "cf0f506bc3a4ce4895b4898471b5ca240117aa801bac414901802b0da477ed98",
     ("derive-table", 1, "random", 1, 0):
         "3bf1a712dfb5302708acabcfb2c3af866c785c12197dece8757d2a5c119b44b7",
     ("derive-table", 2, "random", 1, 0):
@@ -57,6 +59,8 @@ GOLDEN = {
         "f1fb2fa26b0fc78dceed9f6f60b4aab5fd593aa6eeb756e05a96e3416b964db3",
     ("derive-table", 4, "random", 1, 0):
         "b32c240dde11c147b2eca03c782e88cd3de9c6ea76cdfb188585dc8ca59a21ff",
+    ("derive-table", 5, "random", 1, 0):
+        "5a43c3bd0576a4f334081da302637f66a661a43c7bc52b03046a009aede82789",
     ("certify", 1, "random", 1, 0):
         "6100cd79000c23280d3181821cc056eb6eaa30faf4faf6ce5884c94f7faf7dc6",
     ("certify", 2, "random", 1, 0):

@@ -21,8 +21,8 @@ def load(name: str):
     [
         ("uniformity_campaign", ["--n", "6"], "sample mode: n must be 1..5, got 6"),
         ("uniformity_campaign", ["--trials", "0"], "trials must be >= 1, got 0"),
-        ("certify_tables", ["5"], "table derivation: n must be 1..4, got 5"),
-        ("certify_tables", ["1", "5"], "table derivation: n must be 1..4, got 5"),
+        ("certify_tables", ["6"], "table derivation: n must be 1..5, got 6"),
+        ("certify_tables", ["1", "6"], "table derivation: n must be 1..5, got 6"),
         ("uniformity_campaign", ["--seed0", "-1"], "seed must be >= 0, got -1"),
         ("uniformity_campaign", ["--seeds", "0"], "seeds must be >= 1, got 0"),
         ("uniformity_campaign", ["--seeds", "-3"], "seeds must be >= 1, got -3"),

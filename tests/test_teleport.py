@@ -1,6 +1,8 @@
 """Protocol engines, the derivation oracle, and table certification."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -129,10 +131,14 @@ def test_five_qubit_sampled_run():
 
 
 def test_width_limits():
-    with pytest.raises(ValueError, match="1..5"):
-        run_session(rand_state(np.random.default_rng(0), 6), 1)
-    with pytest.raises(ValueError, match="1..4"):
-        teleport_branches(rand_state(np.random.default_rng(0), 5))
+    # Sessions, enumeration and the branch tables share one limit.
+    xi = rand_state(np.random.default_rng(0), 6)
+    with pytest.raises(ValueError, match="session: n must be 1..5, got 6"):
+        run_session(xi, 1)
+    with pytest.raises(ValueError, match="n must be 1..5, got 6"):
+        teleport_branches(xi)
+    with pytest.raises(ValueError, match="branch enumeration: n must be 1..5, got 6"):
+        enumerate_protocol_branches(xi)
 
 
 @pytest.mark.parametrize("n", [1, 2])
@@ -275,6 +281,14 @@ def test_derive_width_four_is_unique_and_valid():
     assert certify_table(table, composed_table(4)).all_match
 
 
+def test_derive_width_five_matches_the_composed_rule():
+    # The widest engine width: the oracle agrees with the composed rule on all
+    # 1024 branches. One resource here; CI's smoke step derives all four.
+    table = derive_corrections(5, PHIM)
+    assert len(table.entries) == 1024
+    assert certify_table(table, composed_table(5, PHIM)).all_match
+
+
 def test_derived_table_for_alternate_resource():
     table = derive_corrections(2, BellState.PHI_PLUS)
     # phi+ resource flips the rule: the all-phi+ outcome needs no correction.
@@ -285,10 +299,10 @@ def test_derived_table_for_alternate_resource():
 
 
 def test_derive_rejects_bad_width():
-    with pytest.raises(ValueError, match="1..4"):
+    with pytest.raises(ValueError, match="table derivation: n must be 1..5, got 0"):
         derive_corrections(0)
-    with pytest.raises(ValueError, match="1..4"):
-        derive_corrections(5)
+    with pytest.raises(ValueError, match="table derivation: n must be 1..5, got 6"):
+        derive_corrections(6)
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -432,6 +446,33 @@ def test_non_integral_width_is_named_not_a_type_error(build):
         build(2.5)
     # A NumPy integer is an integer.
     assert build(np.int64(1)).n == 1
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: reference_table(True), None),
+        (lambda: derive_corrections(np.int64(1)), None),
+        (lambda: reference_table(1.0), "correction table: n 1.0 is not an integer"),
+        (
+            lambda: CorrectionTable.from_text(composed_table(2).to_text(), 2.0, PSIM),
+            "correction table: n 2.0 is not an integer",
+        ),
+        (lambda: CorrectionTable(-1, PSIM, {}), "correction table: n must be 1..5, got -1"),
+        (lambda: CorrectionTable(6, PSIM, {}), "correction table: n must be 1..5, got 6"),
+    ],
+    ids=["bool", "numpy-int", "float-fixture", "float-text", "negative", "too-wide"],
+)
+def test_correction_table_width_is_checked_once_and_stored_as_an_int(build, error):
+    # A table's n goes through check_width: a bool or NumPy integer is stored
+    # as a plain int, so its report serializes; anything else is named.
+    if error is not None:
+        with pytest.raises(ValueError, match=error):
+            build()
+        return
+    table = build()
+    assert type(table.n) is int and table.n == 1
+    json.dumps(certify_table(table, reference_table(1)).to_dict())
 
 
 # --- certification ---------------------------------------------------------
