@@ -20,7 +20,7 @@ from .cli import CampaignConfig, run_campaign
 from . import bell, qstate, teleport
 
 # Every memo cache. Gather forms live on the strings corrections_from_message
-# holds, which sessions and composed tables share.
+# holds, which every transcript and composed table shares.
 PACKAGE_CACHES = (qstate._transpose, qstate._targets_first, bell._bras, teleport.protocol_labels,
                   teleport.base_factor_map, teleport._joint, teleport._mask_tables,
                   teleport.corrections_from_message)

@@ -1,10 +1,12 @@
 """Two-party protocol harness.
 
 Both parties run in one process over a shared state vector. The only
-thing that crosses from sender to receiver is the classical message: the
-receiver's correction is a pure function of its bits and the resource,
-and applying it rejects a factor outside the receiver's register, which
-is all the walk leaves. Erasing the sender's side after the message is
+thing that crosses from sender to receiver is the classical message, and
+that boundary is teleport._finish, which every session and every
+enumerated branch ends in: the receiver's correction is decoded from the
+message bits and the resource alone (corrections_from_message), and
+applying it rejects a factor outside the receiver's register, which is
+all the walk leaves. Erasing the sender's side after the message is
 emitted therefore cannot change the receiver's result.
 """
 from __future__ import annotations
@@ -14,16 +16,9 @@ from typing import Iterator
 
 import numpy as np
 
-from .bell import BellState, encode
+from .bell import BellState
 from .qstate import StateVector
-from .teleport import (
-    MAX_PROTOCOL_WIDTH,
-    ProtocolTranscript,
-    _finish,
-    _walk,
-    check_width,
-    corrections_from_message,
-)
+from .teleport import MAX_PROTOCOL_WIDTH, ProtocolTranscript, _finish, _walk, check_width
 
 # NumPy's SeedSequence hash and PCG64 seeding (numpy/random/bit_generator.pyx, pcg64.c).
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -109,9 +104,5 @@ def run_session(
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)
 
-    [(outcomes, prob, state)] = _walk(xi, resource, rng)
-
-    # The sender's register is fully consumed; only these bits cross over.
-    message = encode(outcomes)
-    correction = corrections_from_message(message, resource)
-    return _finish(xi, outcomes, prob, state, resource, correction, message)
+    [branch] = _walk(xi, resource, rng)
+    return _finish(xi, *branch, resource)

@@ -147,6 +147,7 @@ class CorrectionTable:
 
     @classmethod
     def from_text(cls, text: str, n: int, resource: BellState) -> "CorrectionTable":
+        n = check_width(n, MAX_PROTOCOL_WIDTH, "correction table")  # before any row is read
         entries = {}
         for line in text.splitlines():
             line = line.strip()
@@ -229,7 +230,7 @@ def corrections_from_message(message: str, resource: BellState, /) -> PauliStrin
 
 
 def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> CorrectionTable:
-    """The engine's full table for width n, sharing the sessions' cached corrections."""
+    """The composed rule as a width-n table, sharing every transcript's cached corrections."""
     check_width(n, MAX_PROTOCOL_WIDTH, "composed table")
     entries = {seq: corrections_from_message(encode(seq), resource)
                for seq in outcome_sequences(n)}
@@ -324,13 +325,14 @@ def _finish(
     prob: float,
     receiver: StateVector,
     resource: BellState,
-    corr: PauliString,
-    message: str,
 ) -> ProtocolTranscript:
-    """The transcript of one branch, from the receiver before `corr`. One
-    gather corrects it and puts it in (b1..bn) order."""
+    """The transcript of one branch, from the receiver before its correction.
+    Only the message crosses to the receiver, and the correction is decoded
+    from it; one gather corrects the receiver and puts it in (b1..bn) order."""
     n = xi.n_qubits
     _, _, bs = protocol_labels(n)
+    message = encode(outcomes)
+    corr = corrections_from_message(message, resource)
     final = corr.apply(receiver, bs)
     overlap = complex(_vdot(xi.amps, final.amps))
     residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
@@ -349,27 +351,11 @@ def _finish(
 
 
 def teleport_branches(
-    xi: StateVector,
-    resource: BellState = BellState.PSI_MINUS,
-    table: CorrectionTable | None = None,
+    xi: StateVector, resource: BellState = BellState.PSI_MINUS
 ) -> list[ProtocolTranscript]:
-    """Run every outcome branch exhaustively; one transcript per branch.
-
-    Corrections come from `table`, the engine's composed table by default;
-    a derived table is exercised by the same machinery. The table must be
-    for the input's width and the walk's resource.
-    """
-    if table is None:
-        table = composed_table(xi.n_qubits, resource)
-    if table.n != xi.n_qubits:
-        raise ValueError(f"table is for width {table.n}, the input has width {xi.n_qubits}")
-    if table.resource is not resource:
-        raise ValueError(f"table is for {table.resource.value}, the walk uses {resource.value}")
-    out = []
-    for outcomes, prob, receiver in enumerate_protocol_branches(xi, resource):
-        corr = table.entry(outcomes)
-        out.append(_finish(xi, outcomes, prob, receiver, resource, corr, encode(outcomes)))
-    return out
+    """Run every outcome branch exhaustively; one transcript per branch,
+    each corrected from its message as a session is."""
+    return [_finish(xi, *b, resource) for b in enumerate_protocol_branches(xi, resource)]
 
 
 # --- derivation oracle ------------------------------------------------------

@@ -29,9 +29,14 @@ from teleportsim import (
     teleport_branches,
 )
 from teleportsim.bell import encode
-from teleportsim.harness import corrections_from_message
 from teleportsim.reference import SINGLE_QUBIT_OUTPUT_SIGNS
-from teleportsim.teleport import VERDICT_MATCH, VERDICT_OPERATOR, protocol_labels
+from teleportsim.teleport import (
+    VERDICT_MATCH,
+    VERDICT_OPERATOR,
+    corrections_from_message,
+    enumerate_protocol_branches,
+    protocol_labels,
+)
 
 TOL = 1e-12
 
@@ -66,7 +71,9 @@ def test_criterion_1_single_qubit_table_reproduction():
 
 def test_criterion_2_two_qubit_faithfulness_all_branches():
     t0 = time.perf_counter()
-    oracle = derive_corrections(2)  # the derived table must carry this, not the fixture
+    # The derived table, not the fixture, must carry this: it is the rule
+    # every transcript is corrected by, factors and phase alike.
+    same_rule = derive_corrections(2).entries == composed_table(2).entries
     rng = np.random.default_rng(20260815)
     xs, _, _ = protocol_labels(2)
     worst_fid = 1.0
@@ -74,13 +81,13 @@ def test_criterion_2_two_qubit_faithfulness_all_branches():
     states = 100
     for _ in range(states):
         xi = random_state(xs, rng)
-        for t in teleport_branches(xi, table=oracle):
+        for t in teleport_branches(xi):
             worst_fid = min(worst_fid, t.final_fidelity)
             worst_prob_err = max(worst_prob_err, abs(t.branch_probability - 1 / 16))
     elapsed = time.perf_counter() - t0
     _verdict(
         2,
-        worst_fid >= 1 - TOL and worst_prob_err <= TOL and elapsed < 10.0,
+        same_rule and worst_fid >= 1 - TOL and worst_prob_err <= TOL and elapsed < 10.0,
         f"{states} states x 16 branches: min fidelity {worst_fid:.17f}, "
         f"max |p-1/16| {worst_prob_err:.2e} ({elapsed:.2f}s)",
     )
@@ -124,11 +131,14 @@ def test_criterion_3_two_qubit_table_certification():
     )
 
     # The fixture itself must NOT teleport faithfully on a disagreeing row,
-    # confirming the oracle table is the one that carries criterion 2.
+    # confirming the oracle table is the one that carries criterion 2: its
+    # 1010 entry applied to that branch's receiver.
     xi = random_state(("x1", "x2"), np.random.default_rng(7))
-    fixture_fid = {
-        t.message: t.final_fidelity for t in teleport_branches(xi, table=ref)
-    }
+    _, _, bs = protocol_labels(2)
+    fixture_fid = {}
+    for outcomes, _, receiver in enumerate_protocol_branches(xi):
+        final = ref.entry(outcomes).apply(receiver, bs)
+        fixture_fid[encode(outcomes)] = abs(np.vdot(xi.amps, final.amps)) ** 2
     fixture_fails = fixture_fid["1010"] < 1 - 1e-6
 
     ok = agree_ok and disagree_ok and listed_ok and oracle_ok and identity_ok \

@@ -432,7 +432,7 @@ def test_one_gather_corrects_and_orders_the_receiver(n, resource):
     parts[rng.integers(parts.size, size=parts.size // 3)] = -0.0
     receiver = _state(bs[::-1], amps)
     for message in receiver_messages(n):
-        corr = harness.corrections_from_message(message, resource)
+        corr = teleport.corrections_from_message(message, resource)
         for phase in (1, -1, 1j, -1j):
             p = PauliString.from_pairs(corr.factors, phase)
             got = p.apply(receiver, bs)
@@ -671,7 +671,8 @@ def reference_session(monkeypatch, xi, seed, resource):
     with monkeypatch.context() as m:
         m.setattr(harness, "_walk", reference_walk)
         # The builders behind the caches, called afresh every session.
-        m.setattr(harness, "corrections_from_message", harness.corrections_from_message.__wrapped__)
+        m.setattr(teleport, "corrections_from_message",
+                  teleport.corrections_from_message.__wrapped__)
         return harness.run_session(xi, seed, resource)
 
 
@@ -736,10 +737,10 @@ def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
     calls = [(m, r) for r in BellState for m in messages]
     calls += [(m, r) for m in messages for r in BellState]
     for message, resource in calls:
-        got = harness.corrections_from_message(message, resource)
+        got = teleport.corrections_from_message(message, resource)
         want = teleport.corrections_from_message.__wrapped__(message, resource)
         assert got == want and got.op_count == want.op_count
-    assert harness.corrections_from_message.cache_info().misses == len(calls) // 2
+    assert teleport.corrections_from_message.cache_info().misses == len(calls) // 2
 
     inputs = {n: random_state(protocol_labels(n)[0], np.random.default_rng(9500 + n))
               for n in (1, 2, 3, 5)}
@@ -753,7 +754,7 @@ def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
     for bad in ("011", "", "00" * 6):
         for _ in range(2):
             with pytest.raises(ValueError):
-                harness.corrections_from_message(bad, BellState.PSI_MINUS)
+                teleport.corrections_from_message(bad, BellState.PSI_MINUS)
 
     def sample(n):
         return run_campaign(CampaignConfig(n=n, trials=60, seed=11, mode="sample")).to_json()

@@ -27,6 +27,7 @@ from test_golden import GOLDEN as REPORTS, report_digest
 from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
 
 SAMPLE = ["--mode", "sample", "--n", "2", "--trials", "60", "--seed", "11", "--out", os.devnull]
+BRANCHES = ["--mode", "branches", "--n", "2", "--seed", "11", "--out", os.devnull]
 DERIVE = ("derive-table", 2, "random", 1, 0)
 SAMPLED = ("sample", 2, "random", 64, 13)
 SESSION_INPUT = random_state(("x1", "x2"), np.random.default_rng(17))
@@ -126,14 +127,14 @@ def test_correction_cache_keyed_without_the_resource_changes_the_transcripts(
     warm, monkeypatch
 ):
     # The first resource to send a message fixes its correction for all.
-    build, by_message = harness.corrections_from_message.__wrapped__, {}
+    build, by_message = teleport.corrections_from_message.__wrapped__, {}
 
     def lookup(message, resource, /):
         if message not in by_message:
             by_message[message] = build(message, resource)
         return by_message[message]
 
-    monkeypatch.setattr(harness, "corrections_from_message", lookup)
+    monkeypatch.setattr(teleport, "corrections_from_message", lookup)
     clear_caches()
     # Every branch is drawn with probability 1/4, so a seed draws the same
     # messages under every resource, and each resource's rule differs from
@@ -142,16 +143,32 @@ def test_correction_cache_keyed_without_the_resource_changes_the_transcripts(
     assert [transcript_digest(*k) == TRANSCRIPTS[k] for k in keys] == [True, False, False, False]
 
 
+def test_wrong_rule_in_the_message_decoder_fails_sample_and_branches(warm, monkeypatch):
+    # Every transcript, sampled or enumerated, is corrected from its message
+    # by this one function. Read with its pairs in the wrong order, a
+    # message puts each factor on the mirror qubit.
+    build = teleport.corrections_from_message.__wrapped__
+
+    def mirrored(message, resource, /):
+        pairs = [message[i:i + 2] for i in range(0, len(message), 2)]
+        return build("".join(reversed(pairs)), resource)
+
+    monkeypatch.setattr(teleport, "corrections_from_message", mirrored)
+    clear_caches()
+    assert main(SAMPLE) == 1
+    assert main(BRANCHES) == 1
+
+
 def test_correction_on_a_sender_qubit_is_rejected(warm, monkeypatch):
     # The walk leaves a state on b1..bn alone, so a factor on the sender's
     # a1 has no qubit to act on and apply must refuse it.
-    build = harness.corrections_from_message.__wrapped__
+    build = teleport.corrections_from_message.__wrapped__
 
     def reaching(message, resource, /):
         correction = build(message, resource)
         return PauliString(correction.factors + (("a1", PauliFactor.X),), correction.phase)
 
-    monkeypatch.setattr(harness, "corrections_from_message", reaching)
+    monkeypatch.setattr(teleport, "corrections_from_message", reaching)
     clear_caches()
     with pytest.raises(ValueError, match="'a1'"):
         harness.run_session(SESSION_INPUT, 5)

@@ -7,10 +7,11 @@ change to the protocol walk that alters a single byte of a transcript
 
 The `teleport_n` keys pin the same seeded runs taken straight through
 the engine, without the two-party harness: each outcome is drawn with
-`draw_branch` and the correction is composed from the outcome kinds, not
-decoded from the message bits. This is the walk the former
-`teleport.teleport_n` ran; its digests equal their `run_session` twins,
-so the harness's message round trip is seen to lose nothing.
+`draw_branch`, and `_finish` corrects the branch with the rule's uncached
+builder (`corrections_from_message.__wrapped__`), not the cached strings
+sessions share. This is the walk the former `teleport.teleport_n` ran;
+its digests equal their `run_session` twins, so neither the harness nor
+the correction cache is seen to change a byte.
 """
 from __future__ import annotations
 
@@ -20,16 +21,11 @@ import json
 import numpy as np
 import pytest
 
-from teleportsim.bell import BellState, encode
+from teleportsim import teleport
+from teleportsim.bell import BellState
 from teleportsim.harness import run_session
 from teleportsim.qstate import random_state
-from teleportsim.teleport import (
-    _finish,
-    _walk,
-    corrections_from_message,
-    protocol_labels,
-    teleport_branches,
-)
+from teleportsim.teleport import _finish, _walk, protocol_labels, teleport_branches
 
 SEEDS = (1, 2, 3)
 
@@ -156,9 +152,11 @@ def input_state(n: int):
 
 
 def engine_sampled_run(xi, seed, resource: BellState):
-    [(outcomes, prob, receiver)] = _walk(xi, resource, np.random.default_rng(seed))
-    corr = corrections_from_message.__wrapped__(encode(outcomes), resource)
-    return _finish(xi, outcomes, prob, receiver, resource, corr, encode(outcomes))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(teleport, "corrections_from_message",
+                  teleport.corrections_from_message.__wrapped__)
+        [branch] = _walk(xi, resource, np.random.default_rng(seed))
+        return _finish(xi, *branch, resource)
 
 
 def transcripts(entry: str, resource: BellState, n: int) -> list:

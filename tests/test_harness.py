@@ -6,9 +6,9 @@ import pytest
 
 from teleportsim import clear_caches
 from teleportsim.bell import BellState, decode
-from teleportsim.harness import corrections_from_message, run_session
+from teleportsim.harness import run_session
 from teleportsim.qstate import make_state
-from teleportsim.teleport import teleport_branches
+from teleportsim.teleport import corrections_from_message, teleport_branches
 
 from conftest import TOL, rand_state
 

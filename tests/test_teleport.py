@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from teleportsim import clear_caches, teleport
 from teleportsim.bell import BellState, encode, measure_bell_branches
-from teleportsim.harness import corrections_from_message, run_session
+from teleportsim.harness import run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
 from teleportsim.teleport import (
@@ -25,6 +25,7 @@ from teleportsim.teleport import (
     _solve_correction,
     certify_table,
     composed_table,
+    corrections_from_message,
     derive_corrections,
     enumerate_protocol_branches,
     protocol_labels,
@@ -131,29 +132,17 @@ def test_five_qubit_sampled_run():
 
 
 def test_width_limits():
-    # Sessions, enumeration and the branch tables share one limit.
+    # Sessions and enumeration share one limit, and each names its own path:
+    # teleport_branches reads no table, so its walk is what rejects a width.
     xi = rand_state(np.random.default_rng(0), 6)
     with pytest.raises(ValueError, match="session: n must be 1..5, got 6"):
         run_session(xi, 1)
-    with pytest.raises(ValueError, match="n must be 1..5, got 6"):
+    with pytest.raises(ValueError, match="branch enumeration: n must be 1..5, got 6"):
         teleport_branches(xi)
     with pytest.raises(ValueError, match="branch enumeration: n must be 1..5, got 6"):
         enumerate_protocol_branches(xi)
-
-
-@pytest.mark.parametrize("n", [1, 2])
-def test_teleport_branches_rejects_a_table_for_another_resource(n):
-    # A psi- table on a phi+ walk would score wrong fidelities, not fail.
-    xi = rand_state(np.random.default_rng(n), n)
-    with pytest.raises(ValueError, match=r"psi-.*phi\+"):
-        teleport_branches(xi, BellState.PHI_PLUS, table=composed_table(n))
-
-
-@pytest.mark.parametrize("table_n, input_n", [(1, 2), (2, 1)])
-def test_teleport_branches_rejects_a_table_of_another_width(table_n, input_n):
-    xi = rand_state(np.random.default_rng(input_n), input_n)
-    with pytest.raises(ValueError, match=f"width {table_n}, the input has width {input_n}"):
-        teleport_branches(xi, table=composed_table(table_n))
+    with pytest.raises(ValueError, match="branch enumeration: n must be 1..5, got 0"):
+        teleport_branches(make_state((), [1]))
 
 
 def test_walk_rejects_an_impossible_branch(monkeypatch):
@@ -434,6 +423,19 @@ def test_composed_table_shares_the_sessions_cached_corrections():
                 assert corr is corrections_from_message(encode(seq), resource)
 
 
+def test_one_correction_object_per_message_across_entry_points():
+    # Enumerated and sampled transcripts are corrected from their message
+    # alone, so each carries the very string the rule caches for it.
+    clear_caches()
+    for resource in BellState:
+        for n in (1, 2, 3):
+            xi = rand_state(np.random.default_rng(31000 + n), n, prefix="x")
+            ts = teleport_branches(xi, resource)
+            ts += [run_session(xi, seed, resource) for seed in range(8)]
+            for t in ts:
+                assert t.corrections is corrections_from_message(t.message, resource)
+
+
 @pytest.mark.parametrize("n", [0, 6])
 def test_composed_table_rejects_bad_width(n):
     with pytest.raises(ValueError, match=f"composed table: n must be 1..5, got {n}"):
@@ -473,6 +475,25 @@ def test_correction_table_width_is_checked_once_and_stored_as_an_int(build, erro
     table = build()
     assert type(table.n) is int and table.n == 1
     json.dumps(certify_table(table, reference_table(1)).to_dict())
+
+
+@pytest.mark.parametrize(
+    "n, error",
+    [
+        (2.5, r"correction table: n 2\.5 is not an integer"),
+        (-1, r"correction table: n must be 1\.\.5, got -1"),
+        (0, r"correction table: n must be 1\.\.5, got 0"),
+        (6, r"correction table: n must be 1\.\.5, got 6"),
+        (True, r"bad outcome code '00000' for width 1$"),
+    ],
+    ids=["float", "negative", "zero", "too-wide", "bool"],
+)
+def test_table_text_width_is_checked_before_any_row(n, error):
+    # The first row is malformed at every width, so a width error proves the
+    # width was checked first; a bool passes as the width 1 it stands for.
+    text = "00000 I\n" + composed_table(1).to_text()
+    with pytest.raises(ValueError, match=error):
+        CorrectionTable.from_text(text, n, PSIM)
 
 
 # --- certification ---------------------------------------------------------
