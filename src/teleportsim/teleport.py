@@ -313,10 +313,11 @@ def _receiver_rows(xi: StateVector, resource: BellState) -> np.ndarray:
     outcome order, amplitudes in (b1..bn) bit order."""
     _, _, bs = protocol_labels(xi.n_qubits)
     branches = enumerate_protocol_branches(xi, resource)
-    # Every branch ends on the same labels, so one transpose orders them all.
+    # Every branch ends on the same labels, so one transpose orders them all;
+    # one concatenate copies the receivers without np.stack's per-row views.
     shape, axes = _transpose(branches[0][2].qubits, bs)
-    rows = np.stack([receiver.amps for _, _, receiver in branches])
-    return rows.reshape(-1, *shape).transpose(0, *(1 + a for a in axes)).reshape(len(rows), -1)
+    rows = np.concatenate([receiver.amps for _, _, receiver in branches]).reshape(-1, *shape)
+    return rows.transpose(0, *(1 + a for a in axes)).reshape(len(branches), -1)
 
 
 def _finish(
@@ -466,7 +467,8 @@ def _validate_table(table: CorrectionTable) -> None:
     rng = np.random.default_rng(VALIDATION_SEED)
     xs, _, bs = protocol_labels(table.n)
     seqs = list(outcome_sequences(table.n))
-    perms, signs = map(np.stack, zip(*[table.entry(seq).gather(bs) for seq in seqs]))
+    perms, signs = (np.concatenate(forms).reshape(len(seqs), -1)
+                    for forms in zip(*[table.entry(seq).gather(bs) for seq in seqs]))
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
         corrected = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs

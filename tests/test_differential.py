@@ -490,16 +490,17 @@ def test_enumeration_matches_reference_engine(n, resource):
         assert_same((p1, r1), (p2, r2))
 
 
-def test_receiver_rows_are_the_walk_in_canonical_order():
-    n = 3
+@pytest.mark.parametrize("resource", list(BellState), ids=lambda r: r.value)
+@pytest.mark.parametrize("n", range(1, 6))
+def test_receiver_rows_are_the_walk_in_canonical_order(n, resource):
     xs, _, bs = protocol_labels(n)
     xi = random_state(xs, np.random.default_rng(4))
-    rows = teleport._receiver_rows(xi, BellState.PHI_PLUS)
-    branches = enumerate_protocol_branches(xi, BellState.PHI_PLUS)
+    rows = teleport._receiver_rows(xi, resource)
+    branches = enumerate_protocol_branches(xi, resource)
     assert rows.shape == (4 ** n, 2 ** n)
     assert [outs for outs, _, _ in branches] == list(outcome_sequences(n))
     for row, (_, _, receiver) in zip(rows, branches):
-        assert np.array_equal(row, reorder(receiver, bs).amps)
+        assert same_bits(row, reorder(receiver, bs).amps)
 
 
 # --- table validation ----------------------------------------------------
