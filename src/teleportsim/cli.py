@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .bell import encode
-from .harness import run_session, session_generators
+from .harness import run_session
 from .qstate import (
     EXIT_FIDELITY_TOL,
     StateVector,
@@ -168,11 +168,11 @@ def resolve_input(cfg: CampaignConfig, rng: np.random.Generator) -> StateVector:
 def _resource_problems(t: ProtocolTranscript, n: int) -> list[str]:
     problems = []
     if t.bell_pairs_consumed != n:
-        problems.append(f"branch {t.message}: consumed {t.bell_pairs_consumed} pairs")
+        problems.append(f"consumed {t.bell_pairs_consumed} pairs")
     if len(t.message) != 2 * n:
-        problems.append(f"branch {t.message}: {len(t.message)} classical bits")
+        problems.append(f"{len(t.message)} classical bits")
     if t.single_qubit_ops > 2 * n:
-        problems.append(f"branch {t.message}: {t.single_qubit_ops} single-qubit ops")
+        problems.append(f"{t.single_qubit_ops} single-qubit ops")
     return problems
 
 
@@ -189,11 +189,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
     if cfg.mode in ("sample", "branches"):
         xi = resolve_input(cfg, np.random.default_rng(input_ss))
         if cfg.mode == "sample":
-            # Seeded a block of harness.SESSION_BLOCK sessions at a time: memory
-            # is O(4^n) plus one block's seed arrays and 8 bytes a trial.
-            transcripts = (
-                run_session(xi, rng) for rng in session_generators(trials_ss, cfg.trials)
-            )
+            # One stream for the campaign: session i reads its doubles i*n .. i*n+n-1.
+            # Memory is O(4^n) plus 8 bytes a trial.
+            rng = np.random.default_rng(trials_ss)
+            transcripts = (run_session(xi, rng) for _ in range(cfg.trials))
             fidelities = np.empty(cfg.trials)
         else:
             transcripts = teleport_branches(xi)
@@ -202,7 +201,10 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         for i, t in enumerate(transcripts):
             histogram[t.message] += 1
             fidelities[i] = t.final_fidelity
-            violations.extend(_resource_problems(t, cfg.n))
+            if problems := _resource_problems(t, cfg.n):
+                # A sampled trial is named by its index, which replays it alone.
+                where = f"trial {i}, branch" if cfg.mode == "sample" else "branch"
+                violations.extend(f"{where} {t.message}: {p}" for p in problems)
         statistic, p_value = chi_square_uniform(histogram)
     elif cfg.mode == "derive-table":
         table_text = derive_corrections(cfg.n).to_text()

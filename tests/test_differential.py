@@ -766,48 +766,3 @@ def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
         sample(n)
     assert sample(2) == first
 
-
-# --- session seeding in blocks ----------------------------------------------
-
-
-def assert_same_streams(got, children):
-    """Each yielded generator starts in default_rng(child)'s state and draws the same."""
-    count = 0
-    for rng, child in zip(got, children):
-        want = np.random.default_rng(child)
-        assert rng.bit_generator.state == want.bit_generator.state, child.spawn_key
-        assert np.array_equal(rng.random(6), want.random(6)), child.spawn_key
-        count += 1
-    assert count == len(children)
-
-
-@pytest.mark.parametrize("seed", [0, 1, 7, 2026, 2**32, 2**100 + 3])
-def test_session_generators_match_spawned_default_rng(seed):
-    # 601 sessions cross the block boundaries at 256 and 512.
-    trials_ss = np.random.SeedSequence(seed).spawn(2)[1]
-    got = harness.session_generators(trials_ss, 601)
-    children = np.random.SeedSequence(seed).spawn(2)[1].spawn(601)
-    assert harness.SESSION_BLOCK == 256
-    assert_same_streams(got, children)
-    assert trials_ss.n_children_spawned == 0
-
-
-@pytest.mark.parametrize("seed", [3, 2**100 + 3])
-def test_session_generators_take_two_word_spawn_keys(seed):
-    # Keys from 2^32 - 3 on cross 2^32, where an index becomes two 32-bit words.
-    # NumPy's own spawn cannot be the reference there: its child counter is a
-    # uint32, and spawning past 2^32 does not return. Each reference child is
-    # built as spawn builds one, which the first check confirms below 2^32.
-    parent = np.random.SeedSequence(seed).spawn(2)[1]
-    for k, spawned in enumerate(np.random.SeedSequence(seed).spawn(2)[1].spawn(3)):
-        built = np.random.SeedSequence(parent.entropy, spawn_key=parent.spawn_key + (k,))
-        assert np.array_equal(built.pool, spawned.pool)
-    start = 2**32 - 3
-    trials_ss = np.random.SeedSequence(
-        parent.entropy, spawn_key=parent.spawn_key, n_children_spawned=start
-    )
-    children = [
-        np.random.SeedSequence(parent.entropy, spawn_key=parent.spawn_key + (k,))
-        for k in range(start, start + 600)
-    ]
-    assert_same_streams(harness.session_generators(trials_ss, 600), children)

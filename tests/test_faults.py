@@ -12,6 +12,7 @@ from __future__ import annotations
 import importlib
 import os
 import pkgutil
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 import teleportsim
 from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, teleport
 from teleportsim.bell import BellState, draw_branch
-from teleportsim.cli import CampaignConfig, main, run_campaign
+from teleportsim.cli import CampaignConfig, main, resolve_input, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import FIDELITY_TOL, _state, random_state
 
@@ -248,3 +249,26 @@ def test_uncombined_gather_on_the_receivers_order_fails_the_campaign(warm, monke
     monkeypatch.setattr(PauliString, "apply", uncombined)
     clear_caches()
     assert main(SAMPLE) == 1
+
+
+def test_an_over_long_correction_names_its_trial(warm, monkeypatch):
+    # ZX costed as three operations: a message corrected by ZX on both qubits
+    # spends 6 > 2n. A sampled violation names its trial, and that trial
+    # replayed alone, its stream advanced by i * n, draws the branch named.
+    monkeypatch.setattr(PauliFactor, "op_count", property(lambda f: f.x + f.z + f.x * f.z))
+    clear_caches()
+    cfg = CampaignConfig(n=2, trials=60, seed=11)
+    report = run_campaign(cfg)
+    assert report.failed and report.resource_violations
+    input_ss, trials_ss = np.random.SeedSequence(11).spawn(2)
+    xi = resolve_input(cfg, np.random.default_rng(input_ss))
+    for violation in report.resource_violations:
+        trial, message = re.fullmatch(
+            r"trial (\d+), branch ([01]{4}): 6 single-qubit ops", violation
+        ).groups()
+        rng = np.random.default_rng(trials_ss)
+        rng.bit_generator.advance(cfg.n * int(trial))
+        assert harness.run_session(xi, rng).message == message
+    # Enumerated branches have no trial: each is named by its message alone.
+    [violation] = run_campaign(CampaignConfig(n=2, mode="branches")).resource_violations
+    assert re.fullmatch(r"branch [01]{4}: 6 single-qubit ops", violation)

@@ -16,23 +16,23 @@ from teleportsim.cli import CampaignConfig, run_campaign
 # (mode, n, input, trials, seed) -> sha256 of the report JSON.
 GOLDEN = {
     ("sample", 1, "random", 64, 11):
-        "556d5517da4c1e9da3ef68813cf5885888819bbf9abc9b77bb92b31456be7da8",
+        "32a1a5b2a590a92cb6285a4f71c7ca7280f295ec2854dc5fe6ea5ba1263903c0",
     ("sample", 1, "zero", 64, 12):
-        "c00a571450027a085dfa332a745bba7e4c7cc5d2e384a03d3c422c7520482ccb",
+        "7c4e1105a1ac3217385635134390835e9ca0f96c919dfe2fe36264848af23bb2",
     ("sample", 2, "random", 64, 13):
-        "a2c6989d3fb8370d5551cd3556b106f40c0bef5b878be21932172702d45853aa",
+        "9e05a17a1846aa6096b0ebda43e97130ec41da37269a0643ff32926306091364",
     ("sample", 2, "ghz", 64, 14):
-        "81c5c5b9d487bf80ff7c0b9a7ea08314d76b474e5321a4990bc1e74fa38eee20",
+        "9725dc9797f7d0169c0392d0b5a8b61375e457dc5b54a3b3d1263544c9d2747c",
     ("sample", 3, "random", 48, 15):
-        "dac4b8d05afece874c792d3d93837ff1a96edb099f9d578d5df0a3268bda47fd",
+        "0c7a989b4f3134119989118ff8bfbcf31f676c56fdce6ebd746b625abdcf172f",
     ("sample", 3, "uniform", 48, 16):
-        "1b958610ec1c5c1a684280e1a9e1480a7964d8af3350c72a950665e93e54bd64",
+        "db02fbdbd9858dc5ca3d00df89c9f5c26c89e2589ac1eaca5d1e8adb48286b1f",
     ("sample", 4, "random", 32, 17):
-        "162319cb3ecc0b0cacad1f6e64c5a7cbb5d249cf60b2f84eda58ba438918da7c",
+        "1c66001dd77dd93cbbc9a20e07e5cbd6ee8b50e23db5e45c2f0ea6613e708043",
     ("sample", 4, "ghz", 32, 18):
-        "441d03c08056e8d93d3f0aba53f28a14c305dd68b0a8ed31761449db2bc32dac",
+        "df132fb355de8101b9abd388cec45a145338c1caf11c6411daac74f963748340",
     ("sample", 5, "random", 16, 19):
-        "2d44fa341ec9c15cc95c27bb8aa3421c23f4eb7835a728a0ea289bb182754b3e",
+        "24066f6d831df2f078c872a2a887c4db32209fd1beb8cdace742989f5a12a841",
     ("branches", 1, "random", 1, 21):
         "7e94ffa301c34389a91685ce4d9302e461eff5af7da3c844a8da02132b35e980",
     ("branches", 1, "uniform", 1, 22):

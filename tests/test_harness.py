@@ -4,8 +4,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from teleportsim import clear_caches
+from teleportsim import clear_caches, cli
 from teleportsim.bell import BellState, decode
+from teleportsim.cli import CampaignConfig, run_campaign
 from teleportsim.harness import run_session
 from teleportsim.qstate import make_state
 from teleportsim.teleport import corrections_from_message, teleport_branches
@@ -89,6 +90,29 @@ def test_sessions_land_on_enumerated_branches(phi):
         assert t.to_dict() == branches[t.message]
         seen.add(t.message)
     assert len(seen) > 8
+
+
+@pytest.mark.parametrize("seed", [0, 9, 2**32, 2**100 + 3])
+@pytest.mark.parametrize("n", range(1, 6))
+def test_a_trial_replays_alone(n, seed, monkeypatch):
+    # A campaign's sessions read one stream, n doubles each, so trial i is
+    # the session given the trials' stream advanced past i * n doubles.
+    sessions = []
+
+    def recorded(xi, rng):
+        sessions.append((xi, run_session(xi, rng)))
+        return sessions[-1][1]
+
+    monkeypatch.setattr(cli, "run_session", recorded)
+    run_campaign(CampaignConfig(n=n, trials=40, seed=seed))
+    assert len(sessions) == 40
+    for i in (0, 20, 39):
+        xi, want = sessions[i]
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(2)[1])
+        rng.bit_generator.advance(i * n)
+        got = run_session(xi, rng)
+        assert got.message == want.message
+        assert got.final_fidelity.hex() == want.final_fidelity.hex()
 
 
 def test_message_validation():
