@@ -22,7 +22,6 @@ IMPOSSIBLE_PROB = 1e-14
 FIDELITY_TOL = 1e-12  # the paper's contract: every corrected branch reaches 1 - this
 PROB_SUM_TOL = 1e-9  # branch probabilities summing further from 1 mean a bug
 SOLVE_TOL = 1e-9  # a correct candidate reaches 1 - this; a wrong one scores 0 on some fiducial
-EXIT_FIDELITY_TOL = 1e-9  # the CLI's failure line: broken corrections fall far below it
 MAX_QUBITS = 16
 # np.vdot's C routine without the array-function dispatcher (NEP 18): the
 # same routine on the same arguments, so the same bits.
@@ -72,12 +71,6 @@ class StateVector:
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    def axis(self, qubit: str) -> int:
-        try:
-            return self.qubits.index(qubit)
-        except ValueError:
-            raise ValueError(f"unknown qubit {qubit!r}; register is {self.qubits}") from None
 
     def amplitude(self, bits: str) -> complex:
         """Amplitude of the computational basis state written as a bit string."""
@@ -187,7 +180,8 @@ def tensor(a: StateVector, b: StateVector) -> StateVector:
 
 def apply_gate(state: StateVector, gate: SingleQubitGate, target: str) -> StateVector:
     """Apply a single-qubit unitary to the target qubit."""
-    axis = state.axis(target)
+    _targets_first(state.qubits, (target,))  # the one unknown-qubit check
+    axis = state.qubits.index(target)
     t = state.amps.reshape([2] * state.n_qubits)
     t = np.tensordot(gate.matrix, t, axes=([1], [axis]))
     t = np.moveaxis(t, 0, axis)

@@ -16,7 +16,9 @@ Two independent routes produce correction tables:
   informationally complete fiducial set and solves for the unique factor
   string, never assuming the composition.
 
-certify_table diffs any two tables row by row.
+certify_table diffs any two tables row by row; certification_reference
+picks what the oracle is held to: the shipped fixture where one exists
+(n <= 2), the composed rule beyond it.
 """
 from __future__ import annotations
 
@@ -58,7 +60,6 @@ VALIDATION_STATES = 100  # random inputs every derived table is checked on
 VALIDATION_SEED = 0x5EED
 # The shipped fixture's tables, by width.
 _REFERENCE_ROWS = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}
-MAX_REFERENCE_WIDTH = max(_REFERENCE_ROWS)
 
 
 def check_width(n: int, limit: int, what: str) -> int:
@@ -244,6 +245,12 @@ def reference_table(n: int) -> CorrectionTable:
         raise ValueError(f"no reference table for width {n}")
     entries = {seq: parse_pauli_tokens(toks) for seq, toks in rows.items()}
     return CorrectionTable(n, BellState.PSI_MINUS, entries)
+
+
+def certification_reference(n: int) -> CorrectionTable:
+    """The table the oracle's width-n table is certified against: the
+    shipped fixture where one exists, the composed rule at every other width."""
+    return reference_table(n) if n in _REFERENCE_ROWS else composed_table(n)
 
 
 @functools.lru_cache(maxsize=1)

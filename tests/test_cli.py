@@ -13,7 +13,6 @@ import pytest
 
 from teleportsim import cli, teleport
 from teleportsim.cli import (
-    FIDELITY_EXIT_THRESHOLD,
     CampaignConfig,
     CampaignReport,
     chi_square_uniform,
@@ -24,8 +23,8 @@ from teleportsim.cli import (
     resolve_input,
 )
 from teleportsim.bell import BellState
-from teleportsim.qstate import StateFormatError, format_state_literal
-from teleportsim.teleport import derive_corrections
+from teleportsim.qstate import FIDELITY_TOL, StateFormatError, format_state_literal
+from teleportsim.teleport import composed_table, derive_corrections
 
 from conftest import TOL, rand_state
 
@@ -184,19 +183,21 @@ def test_branches_campaign_width_cap():
 
 
 def test_unsupported_width_fails_at_config(monkeypatch, capsys):
-    for mode, limit in [("sample", 5), ("branches", 5), ("derive-table", 5), ("certify", 2)]:
-        CampaignConfig(n=limit, mode=mode)
-        for n in (0, limit + 1):
-            with pytest.raises(ValueError, match=f"{mode} mode: n must be 1..{limit}, got {n}"):
+    for mode in cli.MODES:
+        CampaignConfig(n=5, mode=mode)
+        for n in (0, 6):
+            with pytest.raises(ValueError, match=f"{mode} mode: n must be 1..5, got {n}"):
                 CampaignConfig(n=n, mode=mode)
 
-    # certify --n 3 has no reference table: it must fail before deriving one.
+    # certify --n 6 is past every engine width: it must fail before deriving a table.
     def no_work(*args, **kwargs):
         raise AssertionError("derived a table for an unsupported width")
 
     monkeypatch.setattr(cli, "derive_corrections", no_work)
-    assert main(["--n", "3", "--mode", "certify"]) == 2
-    assert "certify mode: n must be 1..2, got 3" in capsys.readouterr().err
+    assert main(["--n", "6", "--mode", "certify"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: certify mode: n must be 1..5, got 6\n"
 
 
 def test_sample_memory_does_not_grow_with_trials():
@@ -252,9 +253,27 @@ def test_certify_campaign_exit_codes():
     assert counts == {"match": 5, "phase_only_mismatch": 2, "operator_mismatch": 9}
     assert report.exit_code(strict=False) == 0
     assert report.exit_code(strict=True) == 1
+    # The fixture's "X@b1 Z@b1" composes to -ZX, so rows 0011 and 0111 differ
+    # from the oracle by their phase alone.
+    verdicts = {row["code"]: row["verdict"] for row in report.certification["rows"]}
+    assert [code for code, v in verdicts.items() if v == "phase_only_mismatch"] == ["0011", "0111"]
+    assert [code for code, v in verdicts.items() if v == "operator_mismatch"] == [
+        "0110", "1000", "1001", "1010", "1011", "1100", "1101", "1110", "1111"
+    ]
     clean = run_campaign(CampaignConfig(n=1, mode="certify"))
     assert clean.certification["all_match"] is True
     assert clean.exit_code(strict=True) == 0
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_certify_holds_the_oracle_to_the_composed_rule_beyond_the_fixture(n):
+    report = run_campaign(CampaignConfig(n=n, mode="certify"))
+    cert = report.certification
+    assert cert["counts"] == {"match": 4 ** n, "phase_only_mismatch": 0, "operator_mismatch": 0}
+    assert cert["all_match"] is True
+    composed = composed_table(n).to_text().splitlines()
+    assert [f"{row['code']} {row['reference']}" for row in cert["rows"]] == composed
+    assert report.exit_code(strict=True) == 0
 
 
 def test_report_json_shape():
@@ -270,19 +289,30 @@ def test_report_json_shape():
 
 
 def test_failed_flag_thresholds():
-    report = CampaignReport(
-        config=CampaignConfig(),
-        fidelity_min=FIDELITY_EXIT_THRESHOLD - 1e-12,
-        fidelity_mean=1.0,
-        outcome_histogram=None,
-        chi_square_statistic=None,
-        chi_square_p_value=None,
-        resource_violations=[],
-        certification=None,
-        table_text=None,
-    )
-    assert report.failed
-    assert report.exit_code(strict=False) == 1
+    # The exit line is the paper's own contract, 1 - FIDELITY_TOL: a report
+    # on it passes, and the next float below it fails.
+    floor = 1 - FIDELITY_TOL
+
+    def report(fidelity_min):
+        return CampaignReport(
+            config=CampaignConfig(),
+            fidelity_min=fidelity_min,
+            fidelity_mean=1.0,
+            outcome_histogram=None,
+            chi_square_statistic=None,
+            chi_square_p_value=None,
+            resource_violations=[],
+            certification=None,
+            table_text=None,
+        )
+
+    assert not report(floor).failed
+    assert report(floor).exit_code(strict=False) == 0
+    below = report(float(np.nextafter(floor, 0)))
+    assert below.failed
+    assert below.exit_code(strict=False) == 1
+    # A NaN fidelity compares false with every floor; it must fail all the same.
+    assert report(float("nan")).exit_code(strict=False) == 1
 
 
 # --- command line ------------------------------------------------------------
@@ -318,7 +348,7 @@ def test_main_rejects_a_negative_seed_by_name(capsys):
 def test_main_reports_usage_errors(capsys, tmp_path):
     assert main(["--input", "/no/such/file.txt"]) == 2
     assert "error:" in capsys.readouterr().err
-    assert main(["--n", "3", "--mode", "certify"]) == 2
+    assert main(["--n", "6", "--mode", "certify"]) == 2
     # A directory is not a report file: a usage error, not a traceback.
     assert main(["--n", "1", "--trials", "3", "--out", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err

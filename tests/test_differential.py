@@ -140,7 +140,7 @@ def test_draw_matches_cumsum_searchsorted(amps):
 
 
 def reference_project(state, targets, onto):
-    axes = [state.axis(q) for q in targets]
+    axes = [state.qubits.index(q) for q in targets]
     o = np.conj(onto).reshape([2] * len(targets))
     t = state.amps.reshape([2] * state.n_qubits)
     rem = np.tensordot(o, t, axes=(list(range(len(targets))), axes))

@@ -22,7 +22,7 @@ from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, tele
 from teleportsim.bell import BellState, draw_branch
 from teleportsim.cli import CampaignConfig, main, resolve_input, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
-from teleportsim.qstate import FIDELITY_TOL, _state, random_state
+from teleportsim.qstate import FIDELITY_TOL, _state, make_state, random_state
 
 from test_golden import GOLDEN as REPORTS, report_digest
 from test_golden_transcripts import GOLDEN as TRANSCRIPTS, transcript_digest
@@ -157,6 +157,48 @@ def test_wrong_rule_in_the_message_decoder_fails_sample_and_branches(warm, monke
     monkeypatch.setattr(teleport, "corrections_from_message", mirrored)
     clear_caches()
     assert main(SAMPLE) == 1
+    assert main(BRANCHES) == 1
+    # Beyond the fixture, certify holds the oracle to the composed rule, which
+    # is built from the same decoder.
+    assert main(["--mode", "certify", "--n", "3", "--strict", "--out", os.devnull]) == 1
+
+
+@pytest.mark.parametrize("mode", ["sample", "branches"])
+def test_a_tilted_resource_fails_on_the_contract(warm, monkeypatch, mode):
+    # Each pair's first amplitude moved by 1e-5, then normalized: every branch
+    # misses fidelity 1 by about 2e-10, far inside 1e-9 but 200 times past
+    # the paper's 1e-12, so the report must fail on FIDELITY_TOL itself.
+    build = teleport.bell_pair
+
+    def tilted(kind, a, b):
+        pair = build(kind, a, b)
+        amps = pair.amps.copy()
+        amps[0] += 1e-5
+        return make_state(pair.qubits, amps)
+
+    monkeypatch.setattr(teleport, "bell_pair", tilted)
+    clear_caches()
+    report = run_campaign(CampaignConfig(n=2, trials=60, seed=3, mode=mode))
+    assert 1 - 1e-9 < report.fidelity_min < 1 - FIDELITY_TOL
+    assert not report.resource_violations
+    argv = ["--mode", mode, "--n", "2", "--trials", "60", "--seed", "3", "--out", os.devnull]
+    assert main(argv) == 1
+
+
+def test_a_nan_resource_fails_the_branches_campaign(warm, monkeypatch):
+    # A NaN amplitude passes the branch-probability sum check (NaN compares
+    # false), so every enumerated fidelity is NaN; the report must fail.
+    build = teleport.bell_pair
+
+    def poisoned(kind, a, b):
+        pair = build(kind, a, b)
+        amps = pair.amps.copy()
+        amps[0] = np.nan
+        return _state(pair.qubits, amps)
+
+    monkeypatch.setattr(teleport, "bell_pair", poisoned)
+    clear_caches()
+    assert np.isnan(run_campaign(CampaignConfig(n=2, mode="branches")).fidelity_min)
     assert main(BRANCHES) == 1
 
 

@@ -65,6 +65,10 @@ GOLDEN = {
         "6100cd79000c23280d3181821cc056eb6eaa30faf4faf6ce5884c94f7faf7dc6",
     ("certify", 2, "random", 1, 0):
         "300f0f4cf0e29b34e90573896df3cd72349d05007c7825ad86ce26522ee1bd36",
+    ("certify", 3, "random", 1, 0):
+        "5d4d73e6347cf8db4953b400419ceef9e14dcb8934282ffac475517df2596672",
+    ("certify", 4, "random", 1, 0):
+        "786b701c426d71da28a8ea7a8212fb047998bd48313926a682a50dd0143cf253",
 }
 
 
