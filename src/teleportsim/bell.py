@@ -8,7 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import (PROB_SUM_TOL, StateVector, _check_register, _state, _targets_first,
+from .qstate import (NORM_TOL, StateVector, _check_register, _state, _targets_first,
                      make_state, project_qubits, reorder)
 
 _S = 1 / math.sqrt(2)
@@ -103,7 +103,8 @@ def measure_bell_branches(
         prob, rem = project_qubits(state, pair, bra)
         total += prob
         branches.append((kind, prob, rem))
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    # Written so that a NaN sum fails too.
+    if not abs(total - 1.0) <= NORM_TOL:
         raise RuntimeError(f"Bell branch probabilities sum to {total}, not 1")
     return branches
 

@@ -30,7 +30,6 @@ from .qstate import (
     random_state,
 )
 from .teleport import (
-    MAX_PROTOCOL_WIDTH,
     ProtocolTranscript,
     certification_reference,
     certify_table,
@@ -59,7 +58,7 @@ class CampaignConfig:
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         # Plain ints for the report: json rejects a NumPy integer and writes a bool as true.
-        object.__setattr__(self, "n", check_width(self.n, MAX_PROTOCOL_WIDTH, f"{self.mode} mode"))
+        object.__setattr__(self, "n", check_width(self.n, f"{self.mode} mode"))
         for name in ("trials", "seed"):
             object.__setattr__(self, name, _as_index(getattr(self, name), name))
         if self.trials < 1:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .bell import BellState
 from .qstate import StateVector
-from .teleport import MAX_PROTOCOL_WIDTH, ProtocolTranscript, _finish, _walk, check_width
+from .teleport import ProtocolTranscript, _finish, _walk, check_width
 
 
 def run_session(
@@ -24,7 +24,7 @@ def run_session(
     """One seeded end-to-end session between the two parties, at xi's width.
     It reads n doubles of default_rng(seed), one per level. A Generator is
     used as it stands, so sessions given one Generator read its stream in turn."""
-    check_width(xi.n_qubits, MAX_PROTOCOL_WIDTH, "session")
+    check_width(xi.n_qubits, "session")
     if seed is None:
         raise ValueError("a seed is required; sessions have no ambient randomness")
     rng = np.random.default_rng(seed)

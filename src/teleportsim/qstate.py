@@ -15,13 +15,11 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-NORM_TOL = 1e-12
+NORM_TOL = 1e-12  # norms, and probability sums: a measured state's squared norm
 # Below this probability a projection branch is reported as impossible
 # instead of being renormalized into a garbage remainder.
 IMPOSSIBLE_PROB = 1e-14
-FIDELITY_TOL = 1e-12  # the paper's contract: every corrected branch reaches 1 - this
-PROB_SUM_TOL = 1e-9  # branch probabilities summing further from 1 mean a bug
-SOLVE_TOL = 1e-9  # a correct candidate reaches 1 - this; a wrong one scores 0 on some fiducial
+FIDELITY_TOL = 1e-12  # every fidelity: the paper's contract, table validation, solver fits
 MAX_QUBITS = 16
 # np.vdot's C routine without the array-function dispatcher (NEP 18): the
 # same routine on the same arguments, so the same bits.

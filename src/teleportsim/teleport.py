@@ -42,7 +42,6 @@ from . import reference
 from .qstate import (
     FIDELITY_TOL,
     MAX_QUBITS,
-    SOLVE_TOL,
     StateVector,
     _as_index,
     _targets_first,
@@ -62,10 +61,11 @@ VALIDATION_SEED = 0x5EED
 _REFERENCE_ROWS = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}
 
 
-def check_width(n: int, limit: int, what: str) -> int:
-    """The one width check: `what` supports widths 1..limit. Returns n as a plain int."""
-    if not 1 <= (n := _as_index(n, f"{what}: n")) <= limit:
-        raise ValueError(f"{what}: n must be 1..{limit}, got {n}")
+def check_width(n: int, what: str) -> int:
+    """The one width check: `what` supports widths 1..MAX_PROTOCOL_WIDTH.
+    Returns n as a plain int."""
+    if not 1 <= (n := _as_index(n, f"{what}: n")) <= MAX_PROTOCOL_WIDTH:
+        raise ValueError(f"{what}: n must be 1..{MAX_PROTOCOL_WIDTH}, got {n}")
     return n
 
 
@@ -121,7 +121,7 @@ class CorrectionTable:
         return protocol_labels(self.n)[2]
 
     def __post_init__(self):
-        object.__setattr__(self, "n", check_width(self.n, MAX_PROTOCOL_WIDTH, "correction table"))
+        object.__setattr__(self, "n", check_width(self.n, "correction table"))
         expected = set(outcome_sequences(self.n))
         if set(self.entries) != expected:
             raise ValueError(
@@ -148,7 +148,7 @@ class CorrectionTable:
 
     @classmethod
     def from_text(cls, text: str, n: int, resource: BellState) -> "CorrectionTable":
-        n = check_width(n, MAX_PROTOCOL_WIDTH, "correction table")  # before any row is read
+        n = check_width(n, "correction table")  # before any row is read
         entries = {}
         for line in text.splitlines():
             line = line.strip()
@@ -224,7 +224,7 @@ def corrections_from_message(message: str, resource: BellState, /) -> PauliStrin
     per pair, composed. The message is in measurement order (pair n first),
     so its last outcome corrects b1."""
     kinds = decode(message)
-    check_width(len(kinds), MAX_PROTOCOL_WIDTH, "message")
+    check_width(len(kinds), "message")
     m = base_factor_map(resource)
     _, _, bs = protocol_labels(len(kinds))
     return PauliString.from_pairs((b, m[k]) for b, k in zip(bs, reversed(kinds)))
@@ -232,7 +232,7 @@ def corrections_from_message(message: str, resource: BellState, /) -> PauliStrin
 
 def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> CorrectionTable:
     """The composed rule as a width-n table, sharing every transcript's cached corrections."""
-    check_width(n, MAX_PROTOCOL_WIDTH, "composed table")
+    check_width(n, "composed table")
     entries = {seq: corrections_from_message(encode(seq), resource)
                for seq in outcome_sequences(n)}
     return CorrectionTable(n, resource, entries)
@@ -311,7 +311,7 @@ def enumerate_protocol_branches(
     xi: StateVector, resource: BellState = BellState.PSI_MINUS
 ) -> list[tuple[tuple[BellState, ...], float, StateVector]]:
     """All 4^n branches as (outcomes, probability, receiver state)."""
-    check_width(xi.n_qubits, MAX_PROTOCOL_WIDTH, "branch enumeration")
+    check_width(xi.n_qubits, "branch enumeration")
     return _walk(xi, resource)
 
 
@@ -411,22 +411,22 @@ def _solve_correction(
     on every row by one product: the X masks gather each remainder, and the
     Z masks' signs contract it with the input, giving overlap[f, x, z] =
     <input_f| Z^z X^x |remainder_f>. A string fits if it reaches fidelity
-    1 - SOLVE_TOL on every row. Exactly one must fit.
+    1 - FIDELITY_TOL on every row, the contract's own bound. Exactly one must fit.
     """
     n = len(targets)
     xor, signs = _mask_tables(n)
     d = len(signs)
     overlap = (inputs.conj()[:, None, :] * remainders[:, xor]).reshape(-1, d) @ signs.T
-    fits = np.all(np.abs(overlap.reshape(-1, d, d)) ** 2 >= 1 - SOLVE_TOL, axis=0)
+    fits = np.all(np.abs(overlap.reshape(-1, d, d)) ** 2 >= 1 - FIDELITY_TOL, axis=0)
     hits = [_mask_factors(x, z, n) for x, z in np.argwhere(fits).tolist()]
     if not hits:
         raise NoCorrectionError(
             f"no factor string of width {n} restores the input within "
-            f"SOLVE_TOL={SOLVE_TOL}; the protocol invariant is violated"
+            f"FIDELITY_TOL={FIDELITY_TOL}; the protocol invariant is violated"
         )
     if len(hits) > 1:
         raise AmbiguousCorrectionError(
-            f"{len(hits)} factor strings fit at width {n} within SOLVE_TOL={SOLVE_TOL} "
+            f"{len(hits)} factor strings fit at width {n} within FIDELITY_TOL={FIDELITY_TOL} "
             f"({hits}); fiducial set is incomplete"
         )
     return hits[0]
@@ -442,7 +442,7 @@ def derive_corrections(
     for; ambiguity or absence raises, naming the branch. The finished table
     is then validated on VALIDATION_STATES random inputs across every branch.
     """
-    check_width(n, MAX_PROTOCOL_WIDTH, "table derivation")
+    check_width(n, "table derivation")
     xs, _, bs = protocol_labels(n)
     fiducials = _fiducial_states(xs)
     inputs = np.stack([f.amps for f in fiducials])

@@ -39,7 +39,6 @@ from teleportsim.pauli import PauliFactor, PauliString, signed_permutation
 from teleportsim.qstate import (
     FIDELITY_TOL,
     IMPOSSIBLE_PROB,
-    SOLVE_TOL,
     _state,
     _vdot,
     computational_basis_state,
@@ -591,7 +590,7 @@ def reference_solve(targets, inputs, remainders):
     candidates, perms, signs = candidate_stack(len(targets))
     applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
     fid = np.abs(np.einsum("fi,fci->cf", inputs.conj(), applied)) ** 2
-    hits = np.flatnonzero(np.all(fid >= 1 - SOLVE_TOL, axis=1))
+    hits = np.flatnonzero(np.all(fid >= 1 - FIDELITY_TOL, axis=1))
     if len(hits) == 0:
         raise NoCorrectionError("no factor string")
     if len(hits) > 1:

@@ -20,7 +20,7 @@ import pytest
 import teleportsim
 from teleportsim import PACKAGE_CACHES, bell, clear_caches, harness, pauli, teleport
 from teleportsim.bell import BellState, draw_branch
-from teleportsim.cli import CampaignConfig, main, resolve_input, run_campaign
+from teleportsim.cli import CampaignConfig, fixture_state, main, resolve_input, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import FIDELITY_TOL, _state, make_state, random_state
 
@@ -186,8 +186,8 @@ def test_a_tilted_resource_fails_on_the_contract(warm, monkeypatch, mode):
 
 
 def test_a_nan_resource_fails_the_branches_campaign(warm, monkeypatch):
-    # A NaN amplitude passes the branch-probability sum check (NaN compares
-    # false), so every enumerated fidelity is NaN; the report must fail.
+    # A NaN amplitude makes the Bell branch probabilities sum to NaN, which
+    # the sum check rejects before any branch is drawn or corrected.
     build = teleport.bell_pair
 
     def poisoned(kind, a, b):
@@ -198,8 +198,20 @@ def test_a_nan_resource_fails_the_branches_campaign(warm, monkeypatch):
 
     monkeypatch.setattr(teleport, "bell_pair", poisoned)
     clear_caches()
-    assert np.isnan(run_campaign(CampaignConfig(n=2, mode="branches")).fidelity_min)
-    assert main(BRANCHES) == 1
+    for mode in ("branches", "sample"):
+        with pytest.raises(RuntimeError, match="sum to nan"):
+            run_campaign(CampaignConfig(n=2, mode=mode))
+
+
+def test_a_bell_row_off_its_norm_fails_the_measurement(warm, monkeypatch):
+    # phi+ scaled by 1 + 1e-10: its branch gains 2e-10 of a quarter, far
+    # inside any fidelity check's reach, but the four branches no longer
+    # sum to the measured state's norm within NORM_TOL.
+    row = bell._AMPLITUDES[BellState.PHI_PLUS] * (1 + 1e-10)
+    monkeypatch.setitem(bell._AMPLITUDES, BellState.PHI_PLUS, row)
+    clear_caches()
+    with pytest.raises(RuntimeError, match=r"Bell branch probabilities sum to 1\.00000000005"):
+        teleport.teleport_branches(fixture_state("uniform", 2))
 
 
 def test_correction_on_a_sender_qubit_is_rejected(warm, monkeypatch):

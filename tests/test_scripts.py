@@ -19,13 +19,20 @@ def load(name: str):
 @pytest.mark.parametrize(
     "name, argv, message",
     [
-        ("uniformity_campaign", ["--n", "6"], "sample mode: n must be 1..5, got 6"),
-        ("uniformity_campaign", ["--trials", "0"], "trials must be >= 1, got 0"),
-        ("uniformity_campaign", ["--n", "0"], "sample mode: n must be 1..5, got 0"),
-        ("uniformity_campaign", ["--trials", "-1"], "trials must be >= 1, got -1"),
-        ("uniformity_campaign", ["--seed0", "-1"], "seed must be >= 0, got -1"),
-        ("uniformity_campaign", ["--seeds", "0"], "seeds must be >= 1, got 0"),
-        ("uniformity_campaign", ["--seeds", "-3"], "seeds must be >= 1, got -3"),
+        pytest.param("uniformity_campaign", ["--n", "6"], "sample mode: n must be 1..5, got 6",
+                     id="n-6"),
+        pytest.param("uniformity_campaign", ["--trials", "0"], "trials must be >= 1, got 0",
+                     id="trials-0"),
+        pytest.param("uniformity_campaign", ["--n", "0"], "sample mode: n must be 1..5, got 0",
+                     id="n-0"),
+        pytest.param("uniformity_campaign", ["--trials", "-1"], "trials must be >= 1, got -1",
+                     id="trials-negative"),
+        pytest.param("uniformity_campaign", ["--seed0", "-1"], "seed must be >= 0, got -1",
+                     id="seed0-negative"),
+        pytest.param("uniformity_campaign", ["--seeds", "0"], "seeds must be >= 1, got 0",
+                     id="seeds-0"),
+        pytest.param("uniformity_campaign", ["--seeds", "-3"], "seeds must be >= 1, got -3",
+                     id="seeds-negative"),
     ],
 )
 def test_malformed_input_exits_2_with_a_message(name, argv, message, capsys):

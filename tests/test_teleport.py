@@ -343,7 +343,7 @@ def test_derivation_failure_names_branch_width_and_tolerance(monkeypatch):
         return rows
 
     monkeypatch.setattr(teleport, "_receiver_rows", patched)
-    named = r"^branch 10: no factor string of width 1 .*SOLVE_TOL=1e-09"
+    named = r"^branch 10: no factor string of width 1 .*FIDELITY_TOL=1e-12"
     with pytest.raises(NoCorrectionError, match=named):
         derive_corrections(1)
 
@@ -352,7 +352,7 @@ def test_derivation_ambiguity_names_the_branch(monkeypatch):
     # Basis fiducials alone leave the Z part free on every branch.
     real = teleport._fiducial_states
     monkeypatch.setattr(teleport, "_fiducial_states", lambda xs: real(xs)[: 2 ** len(xs)])
-    named = r"^branch 00: 2 factor strings fit at width 1 within SOLVE_TOL=1e-09"
+    named = r"^branch 00: 2 factor strings fit at width 1 within FIDELITY_TOL=1e-12"
     with pytest.raises(AmbiguousCorrectionError, match=named):
         derive_corrections(1)
 
