@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from enum import Enum
 from typing import Iterable, Sequence
@@ -72,6 +73,11 @@ def decode(code: str) -> tuple[BellState, ...]:
     if len(code) % 2 or set(code) - {"0", "1"}:
         raise ValueError(f"bad outcome code {code!r}: need an even-length bit string")
     return tuple(_ORDER[int(code[i : i + 2], 2)] for i in range(0, len(code), 2))
+
+
+def messages(n: int) -> list[str]:
+    """All 4^n messages of width n in canonical order, the codes ascending."""
+    return [encode(s) for s in itertools.product(BellState, repeat=n)]
 
 
 def bell_pair(kind: BellState, a: str, b: str) -> StateVector:

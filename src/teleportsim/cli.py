@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bell import encode
+from .bell import messages
 from .harness import run_session
 from .qstate import (
     FIDELITY_TOL,
@@ -35,7 +35,6 @@ from .teleport import (
     certify_table,
     check_width,
     derive_corrections,
-    outcome_sequences,
     protocol_labels,
     teleport_branches,
 )
@@ -191,7 +190,7 @@ def run_campaign(cfg: CampaignConfig) -> CampaignReport:
         else:
             transcripts = teleport_branches(xi)
             fidelities = np.empty(4 ** cfg.n)
-        histogram = {encode(seq): 0 for seq in outcome_sequences(cfg.n)}
+        histogram = dict.fromkeys(messages(cfg.n), 0)
         for i, t in enumerate(transcripts):
             histogram[t.message] += 1
             fidelities[i] = t.final_fidelity

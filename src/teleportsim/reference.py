@@ -1,55 +1,48 @@
 """Hand-maintained reference correction tables used as certification fixtures.
 
-The rows are kept verbatim as transcribed, including the two-qubit rows
-that the derivation oracle contradicts. certify_table reports per-row
-verdicts instead of editing the fixture; nothing in the engines ever
-reads corrections from here.
+Each table is text in CorrectionTable.to_text's row format: a 2n-bit
+message (psi- 00, psi+ 01, phi- 10, phi+ 11, in measurement order), then
+the correction's tokens. The rows are kept verbatim as transcribed,
+including the two-qubit rows that the derivation oracle contradicts.
+certify_table reports per-row verdicts instead of editing the fixture;
+nothing in the engines ever reads corrections from here.
 
 Tokens apply right-to-left, so "X@b1 Z@b1" means: apply Z to b1, then X.
 """
 from __future__ import annotations
 
-from .bell import BellState
-
-_PSIM = BellState.PSI_MINUS
-_PSIP = BellState.PSI_PLUS
-_PHIM = BellState.PHI_MINUS
-_PHIP = BellState.PHI_PLUS
-
-# Single-pair table: outcome on (x1, a1) -> correction on b1, plus the
-# expected sign of the corrected output relative to the input.
-SINGLE_QUBIT_ROWS: dict[tuple[BellState, ...], str] = {
-    (_PSIM,): "I",
-    (_PSIP,): "Z@b1",
-    (_PHIM,): "X@b1",
-    (_PHIP,): "Z@b1 X@b1",
+TABLES: dict[int, str] = {
+    # Single-pair table: outcome on (x1, a1) -> correction on b1.
+    1: """
+00 I
+01 Z@b1
+10 X@b1
+11 Z@b1 X@b1
+""",
+    # Two-qubit table: outcomes in measurement order ((x2, a2) first, then
+    # (x1, a1)) -> correction on (b1, b2). Several rows disagree with the
+    # composition of the single-pair rule; they are transcribed anyway and
+    # adjudicated by certify_table against the derivation oracle.
+    2: """
+0000 I
+0001 Z@b1
+0010 X@b1
+0011 X@b1 Z@b1
+0100 Z@b2
+0101 Z@b1 Z@b2
+0110 Z@b2
+0111 X@b1 Z@b1 Z@b2
+1000 X@b1 X@b2
+1001 Z@b1 X@b1 X@b2
+1010 X@b2
+1011 Z@b1 X@b2
+1100 X@b1 Z@b2 X@b2
+1101 Z@b1 X@b1 Z@b2 X@b2
+1110 Z@b2 X@b2
+1111 Z@b1 X@b2 Z@b2
+""",
 }
-SINGLE_QUBIT_OUTPUT_SIGNS: dict[tuple[BellState, ...], int] = {
-    (_PSIM,): -1,
-    (_PSIP,): +1,
-    (_PHIM,): +1,
-    (_PHIP,): -1,
-}
 
-# Two-qubit table: outcomes in measurement order ((x2, a2) first, then
-# (x1, a1)) -> correction on (b1, b2). Several rows disagree with the
-# composition of the single-pair rule; they are transcribed anyway and
-# adjudicated by certify_table against the derivation oracle.
-TWO_QUBIT_ROWS: dict[tuple[BellState, ...], str] = {
-    (_PSIM, _PSIM): "I",
-    (_PSIM, _PSIP): "Z@b1",
-    (_PSIM, _PHIM): "X@b1",
-    (_PSIM, _PHIP): "X@b1 Z@b1",
-    (_PSIP, _PSIM): "Z@b2",
-    (_PSIP, _PSIP): "Z@b1 Z@b2",
-    (_PSIP, _PHIM): "Z@b2",
-    (_PSIP, _PHIP): "X@b1 Z@b1 Z@b2",
-    (_PHIM, _PSIM): "X@b1 X@b2",
-    (_PHIM, _PSIP): "Z@b1 X@b1 X@b2",
-    (_PHIM, _PHIM): "X@b2",
-    (_PHIM, _PHIP): "Z@b1 X@b2",
-    (_PHIP, _PSIM): "X@b1 Z@b2 X@b2",
-    (_PHIP, _PSIP): "Z@b1 X@b1 Z@b2 X@b2",
-    (_PHIP, _PHIM): "Z@b2 X@b2",
-    (_PHIP, _PHIP): "Z@b1 X@b2 Z@b2",
-}
+# The expected sign of the single-pair corrected output relative to the
+# input, by message.
+SINGLE_QUBIT_OUTPUT_SIGNS: dict[str, int] = {"00": -1, "01": 1, "10": 1, "11": -1}

@@ -16,6 +16,8 @@ Two independent routes produce correction tables:
   informationally complete fiducial set and solves for the unique factor
   string, never assuming the composition.
 
+Every correction table is keyed by the message, as the receiver sees the
+branch, and bell.messages(n) lists a width's messages in canonical order.
 certify_table diffs any two tables row by row; certification_reference
 picks what the oracle is held to: the shipped fixture where one exists
 (n <= 2), the composed rule beyond it.
@@ -23,9 +25,8 @@ picks what the oracle is held to: the shipped fixture where one exists
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import asdict, dataclass
-from typing import Iterator, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from .bell import (
     draw_branch,
     encode,
     measure_bell_branches,
+    messages,
 )
 from .pauli import PauliFactor, PauliString, parse_pauli_tokens, signed_permutation
 from . import reference
@@ -57,8 +59,6 @@ from .qstate import (
 MAX_PROTOCOL_WIDTH = MAX_QUBITS // 3  # the one engine width: every walk holds all 3n qubits
 VALIDATION_STATES = 100  # random inputs every derived table is checked on
 VALIDATION_SEED = 0x5EED
-# The shipped fixture's tables, by width.
-_REFERENCE_ROWS = {1: reference.SINGLE_QUBIT_ROWS, 2: reference.TWO_QUBIT_ROWS}
 
 
 def check_width(n: int, what: str) -> int:
@@ -102,18 +102,13 @@ def protocol_labels(n: int) -> tuple[tuple[str, ...], tuple[str, ...], tuple[str
     return xs, ans, bs
 
 
-def outcome_sequences(n: int) -> Iterator[tuple[BellState, ...]]:
-    """All 4^n outcome sequences in canonical (code-ascending) order."""
-    return itertools.product(BellState, repeat=n)
-
-
 @dataclass(frozen=True)
 class CorrectionTable:
-    """Correction per outcome sequence, keyed in measurement order."""
+    """Correction per outcome sequence, keyed by its 2n-bit message."""
 
     n: int
     resource: BellState
-    entries: Mapping[tuple[BellState, ...], PauliString]
+    entries: Mapping[str, PauliString]
 
     @property
     def targets(self) -> tuple[str, ...]:
@@ -122,29 +117,22 @@ class CorrectionTable:
 
     def __post_init__(self):
         object.__setattr__(self, "n", check_width(self.n, "correction table"))
-        expected = set(outcome_sequences(self.n))
-        if set(self.entries) != expected:
+        if set(self.entries) != set(messages(self.n)):
             raise ValueError(
                 f"table needs all {4 ** self.n} outcome sequences, got {len(self.entries)}"
             )
-        for seq, corr in self.entries.items():
+        for code, corr in self.entries.items():
             if corr.op_count > 2 * self.n:
                 raise ValueError(
-                    f"entry {seq} uses {corr.op_count} single-qubit operations, "
+                    f"entry {code} uses {corr.op_count} single-qubit operations, "
                     f"bound is {2 * self.n}"
                 )
             if not set(corr.qubits) <= set(self.targets):
-                raise ValueError(f"entry {seq} touches qubits outside {self.targets}")
-
-    def entry(self, kinds: Sequence[BellState]) -> PauliString:
-        return self.entries[tuple(kinds)]
+                raise ValueError(f"entry {code} touches qubits outside {self.targets}")
 
     def to_text(self) -> str:
         """One row per outcome sequence: 2n-bit code, then tokens."""
-        lines = []
-        for seq in outcome_sequences(self.n):
-            lines.append(f"{encode(seq)} {self.entries[seq].tokens()}")
-        return "\n".join(lines) + "\n"
+        return "".join(f"{m} {self.entries[m].tokens()}\n" for m in messages(self.n))
 
     @classmethod
     def from_text(cls, text: str, n: int, resource: BellState) -> "CorrectionTable":
@@ -157,12 +145,12 @@ class CorrectionTable:
             code, _, toks = line.partition(" ")
             if len(code) != 2 * n:
                 raise ValueError(f"bad outcome code {code!r} for width {n}")
-            seq = decode(code)
-            if seq in entries:
+            decode(code)  # the bit check
+            if code in entries:
                 raise ValueError(f"repeated outcome code {code!r}")
             if not toks.split():  # to_text writes I for the identity: a bare code is cut short
                 raise ValueError(f"outcome code {code!r} has no correction tokens")
-            entries[seq] = parse_pauli_tokens(toks)
+            entries[code] = parse_pauli_tokens(toks)
         return cls(n, resource, entries)
 
 
@@ -233,24 +221,21 @@ def corrections_from_message(message: str, resource: BellState, /) -> PauliStrin
 def composed_table(n: int, resource: BellState = BellState.PSI_MINUS) -> CorrectionTable:
     """The composed rule as a width-n table, sharing every transcript's cached corrections."""
     check_width(n, "composed table")
-    entries = {seq: corrections_from_message(encode(seq), resource)
-               for seq in outcome_sequences(n)}
-    return CorrectionTable(n, resource, entries)
+    return CorrectionTable(n, resource, {m: corrections_from_message(m, resource)
+                                         for m in messages(n)})
 
 
 def reference_table(n: int) -> CorrectionTable:
     """The shipped fixture table (widths 1 and 2, psi- resource only)."""
-    rows = _REFERENCE_ROWS.get(n)
-    if rows is None:
+    if n not in reference.TABLES:
         raise ValueError(f"no reference table for width {n}")
-    entries = {seq: parse_pauli_tokens(toks) for seq, toks in rows.items()}
-    return CorrectionTable(n, BellState.PSI_MINUS, entries)
+    return CorrectionTable.from_text(reference.TABLES[n], n, BellState.PSI_MINUS)
 
 
 def certification_reference(n: int) -> CorrectionTable:
     """The table the oracle's width-n table is certified against: the
     shipped fixture where one exists, the composed rule at every other width."""
-    return reference_table(n) if n in _REFERENCE_ROWS else composed_table(n)
+    return reference_table(n) if n in reference.TABLES else composed_table(n)
 
 
 @functools.lru_cache(maxsize=1)
@@ -285,7 +270,7 @@ def _walk(
     level goes on with the one branch draw_branch takes, as a session does.
     Returns (outcomes, probability, receiver state) per finished branch.
     Each level extends the last one's branches in order, so the first
-    outcome is the most significant: the order of outcome_sequences.
+    outcome is the most significant: the order of messages.
     """
     n = xi.n_qubits
     xs, ans, _ = protocol_labels(n)
@@ -451,12 +436,12 @@ def derive_corrections(
     for j, f in enumerate(fiducials):
         remainders[j] = _receiver_rows(f, resource)
     entries = {}
-    for i, seq in enumerate(outcome_sequences(n)):
+    for i, m in enumerate(messages(n)):
         try:
             combo = _solve_correction(bs, inputs, remainders[:, i])
         except (NoCorrectionError, AmbiguousCorrectionError) as e:
-            raise type(e)(f"branch {encode(seq)}: {e}") from None
-        entries[seq] = PauliString.from_pairs(zip(bs, combo))
+            raise type(e)(f"branch {m}: {e}") from None
+        entries[m] = PauliString.from_pairs(zip(bs, combo))
     table = CorrectionTable(n, resource, entries)
     _validate_table(table)
     return table
@@ -473,9 +458,9 @@ def _validate_table(table: CorrectionTable) -> None:
     """
     rng = np.random.default_rng(VALIDATION_SEED)
     xs, _, bs = protocol_labels(table.n)
-    seqs = list(outcome_sequences(table.n))
-    perms, signs = (np.concatenate(forms).reshape(len(seqs), -1)
-                    for forms in zip(*[table.entry(seq).gather(bs) for seq in seqs]))
+    codes = messages(table.n)
+    perms, signs = (np.concatenate(forms).reshape(len(codes), -1)
+                    for forms in zip(*[table.entries[m].gather(bs) for m in codes]))
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
         corrected = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs
@@ -483,7 +468,7 @@ def _validate_table(table: CorrectionTable) -> None:
         bad = np.flatnonzero(fid < 1 - FIDELITY_TOL)
         if bad.size:
             raise NoCorrectionError(
-                f"derived table fails validation on branch {encode(seqs[bad[0]])}: "
+                f"derived table fails validation on branch {codes[bad[0]]}: "
                 f"fidelity {float(fid[bad[0]])}"
             )
 
@@ -512,9 +497,6 @@ class CertificationReport:
     def all_match(self) -> bool:
         return self.counts[VERDICT_PHASE] == 0 and self.counts[VERDICT_OPERATOR] == 0
 
-    def disagreements(self) -> tuple[CertificationRow, ...]:
-        return tuple(r for r in self.rows if r.verdict == VERDICT_OPERATOR)
-
     def to_dict(self) -> dict:
         return {**asdict(self), "all_match": self.all_match}
 
@@ -533,8 +515,8 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
         raise ValueError(f"resource mismatch: {derived.resource.value} vs {ref.resource.value}")
     rows = []
     counts = {VERDICT_MATCH: 0, VERDICT_PHASE: 0, VERDICT_OPERATOR: 0}
-    for seq in outcome_sequences(derived.n):
-        d, r = derived.entries[seq], ref.entries[seq]
+    for m in messages(derived.n):
+        d, r = derived.entries[m], ref.entries[m]
         if dict(d.factors) != dict(r.factors):
             verdict = VERDICT_OPERATOR
         elif d.phase == r.phase:
@@ -544,8 +526,8 @@ def certify_table(derived: CorrectionTable, ref: CorrectionTable) -> Certificati
         counts[verdict] += 1
         rows.append(
             CertificationRow(
-                code=encode(seq),
-                outcomes=tuple(k.value for k in seq),
+                code=m,
+                outcomes=tuple(k.value for k in decode(m)),
                 derived=d.tokens(),
                 reference=r.tokens(),
                 verdict=verdict,

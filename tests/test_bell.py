@@ -1,6 +1,7 @@
 """Bell basis fixtures, measurement branches, and seeded sampling."""
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from teleportsim.bell import (
     draw_branch,
     encode,
     measure_bell_branches,
+    messages,
 )
 from teleportsim.qstate import computational_basis_state, fidelity, make_state, tensor
 
@@ -49,6 +51,12 @@ def test_from_bits_round_trip():
     seqs = [(), tuple(BellState), (BellState.PHI_MINUS, BellState.PSI_PLUS)]
     for seq in seqs:
         assert decode(encode(seq)) == seq
+    # messages(n) is every width-n code in canonical order, ascending.
+    for n in range(1, 6):
+        codes = messages(n)
+        assert codes == sorted(codes)
+        assert codes == [encode(s) for s in itertools.product(BellState, repeat=n)]
+        assert [encode(decode(m)) for m in codes] == codes
     with pytest.raises(ValueError, match="even-length bit string"):
         decode("2x")
 
@@ -120,7 +128,8 @@ def test_branch_remainder_excludes_measured_pair():
         assert p == pytest.approx(0.25, abs=TOL)
 
 
-@pytest.mark.parametrize("pair", [("q1",), ("q1", "q2", "q3")])
+@pytest.mark.parametrize("pair", [pytest.param(("q1",), id="one-qubit"),
+                                  pytest.param(("q1", "q2", "q3"), id="three-qubits")])
 def test_measurement_rejects_a_pair_of_the_wrong_size(pair):
     s = rand_state(np.random.default_rng(3), 3)
     with pytest.raises(ValueError, match="needs a pair of qubits"):

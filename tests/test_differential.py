@@ -30,9 +30,11 @@ from teleportsim import clear_caches, harness, qstate, teleport
 from teleportsim.bell import (
     BellState,
     bell_pair,
+    decode,
     draw_branch,
     encode,
     measure_bell_branches,
+    messages,
 )
 from teleportsim.cli import FIXTURE_NAMES, CampaignConfig, fixture_state, run_campaign
 from teleportsim.pauli import PauliFactor, PauliString, signed_permutation
@@ -60,7 +62,6 @@ from teleportsim.teleport import (
     _validate_table,
     composed_table,
     enumerate_protocol_branches,
-    outcome_sequences,
     protocol_labels,
     teleport_branches,
 )
@@ -295,7 +296,7 @@ def test_finish_overlap_matches_np_vdot(n, resource):
         transcripts = teleport_branches(xi, resource)
         branches = enumerate_protocol_branches(xi, resource)
         for t, (outcomes, _, receiver) in zip(transcripts, branches):
-            final = table.entry(outcomes).apply(receiver, bs)
+            final = table.entries[encode(outcomes)].apply(receiver, bs)
             overlap = complex(np.vdot(xi.amps, final.amps))
             residual = overlap / abs(overlap) if abs(overlap) > 0 else complex(0)
             assert t.final_fidelity == abs(overlap) ** 2
@@ -411,7 +412,7 @@ def test_one_string_keeps_a_gather_form_per_order():
 def receiver_messages(n: int):
     """Every message at n <= 3, 200 seeded ones above."""
     if n <= 3:
-        return [encode(seq) for seq in outcome_sequences(n)]
+        return messages(n)
     rng = np.random.default_rng(14000 + n)
     return [format(int(i), f"0{2 * n}b") for i in rng.integers(4 ** n, size=200)]
 
@@ -497,7 +498,7 @@ def test_receiver_rows_are_the_walk_in_canonical_order(n, resource):
     rows = teleport._receiver_rows(xi, resource)
     branches = enumerate_protocol_branches(xi, resource)
     assert rows.shape == (4 ** n, 2 ** n)
-    assert [outs for outs, _, _ in branches] == list(outcome_sequences(n))
+    assert [outs for outs, _, _ in branches] == [decode(m) for m in messages(n)]
     for row, (_, _, receiver) in zip(rows, branches):
         assert same_bits(row, reorder(receiver, bs).amps)
 
@@ -513,7 +514,7 @@ def scalar_validation(table: CorrectionTable, resource: BellState):
         xi = random_state(xs, rng)
         target = with_labels(xi, bs)
         for outcomes, _, receiver in enumerate_protocol_branches(xi, resource):
-            f = fidelity(target, table.entry(outcomes).apply(receiver))
+            f = fidelity(target, table.entries[encode(outcomes)].apply(receiver))
             if f < 1 - FIDELITY_TOL:
                 return encode(outcomes), f
     return None
@@ -541,18 +542,18 @@ def test_batched_validation_accepts_composed_tables(n, resource):
 def broken(table: CorrectionTable, rows, phase_only: bool) -> CorrectionTable:
     """The table with the given rows changed: each row's phase negated, or
     its factor on the last b-qubit replaced (X becomes I, anything else X)."""
-    seqs = list(outcome_sequences(table.n))
+    codes = messages(table.n)
     entries = dict(table.entries)
     last = table.targets[-1]
     for row in rows:
-        entry = table.entry(seqs[row])
+        entry = table.entries[codes[row]]
         if phase_only:
-            entries[seqs[row]] = PauliString(entry.factors, -entry.phase)
+            entries[codes[row]] = PauliString(entry.factors, -entry.phase)
             continue
         factors = dict(entry.factors)
         swapped = PauliFactor.I if factors.pop(last, None) is PauliFactor.X else PauliFactor.X
         pairs = [*factors.items(), (last, swapped)]
-        entries[seqs[row]] = PauliString.from_pairs(pairs, entry.phase)
+        entries[codes[row]] = PauliString.from_pairs(pairs, entry.phase)
     return CorrectionTable(table.n, table.resource, entries)
 
 
@@ -569,7 +570,7 @@ def test_batched_validation_names_the_same_branch(n, resource, phase_only):
         assert got is None and want is None
         return
     assert got is not None and want is not None
-    assert got[0] == want[0] == encode(list(outcome_sequences(n))[rows[0]])
+    assert got[0] == want[0] == messages(n)[rows[0]]
     assert abs(got[1] - want[1]) < 1e-12
 
 
@@ -732,10 +733,10 @@ def test_interleaved_inputs_and_resources_never_share_a_register(n, monkeypatch)
 
 def test_session_caches_never_cross_resources_widths_or_campaigns(monkeypatch):
     clear_caches()
-    messages = [encode(seq) for n in (1, 2, 3) for seq in teleport.outcome_sequences(n)]
+    codes = [m for n in (1, 2, 3) for m in messages(n)]
     # Filled one resource at a time, then read back alternating resources.
-    calls = [(m, r) for r in BellState for m in messages]
-    calls += [(m, r) for m in messages for r in BellState]
+    calls = [(m, r) for r in BellState for m in codes]
+    calls += [(m, r) for m in codes for r in BellState]
     for message, resource in calls:
         got = teleport.corrections_from_message(message, resource)
         want = teleport.corrections_from_message.__wrapped__(message, resource)

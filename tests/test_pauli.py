@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from teleportsim.bell import encode, messages
 from teleportsim.pauli import (
     PauliFactor,
     PauliString,
@@ -18,7 +19,6 @@ from teleportsim.qstate import computational_basis_state, reorder
 from teleportsim.teleport import (
     _receiver_rows,
     enumerate_protocol_branches,
-    outcome_sequences,
     protocol_labels,
     reference_table,
 )
@@ -141,13 +141,13 @@ def test_stacked_gathers_equal_each_entry_applied():
     table = reference_table(2)
     xs, _, bs = protocol_labels(2)
     xi = rand_state(np.random.default_rng(3), 2, prefix="x")
-    forms = [table.entry(seq).gather(bs) for seq in outcome_sequences(2)]
+    forms = [table.entries[m].gather(bs) for m in messages(2)]
     perms = np.stack([perm for perm, _ in forms])
     signs = np.stack([sign for _, sign in forms])
     stacked = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs
-    assert any(table.entry(seq).phase != 1 for seq in table.entries)
+    assert any(corr.phase != 1 for corr in table.entries.values())
     for row, (outcomes, _, receiver) in zip(stacked, enumerate_protocol_branches(xi)):
-        applied = reorder(table.entry(outcomes).apply(receiver), bs).amps
+        applied = reorder(table.entries[encode(outcomes)].apply(receiver), bs).amps
         assert np.array_equal(row.view(np.uint64), applied.view(np.uint64)), outcomes
 
 

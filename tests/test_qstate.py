@@ -195,7 +195,8 @@ def test_basis_state_rejects_an_index_that_is_not_an_integer(index):
         computational_basis_state(("a",), index)
 
 
-@pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1), True])
+@pytest.mark.parametrize("index", [1, np.int64(1), np.uint8(1), True],
+                         ids=["1", "int64", "uint8", "True"])
 def test_basis_state_takes_any_integer_index(index):
     assert computational_basis_state(("a",), index).amplitude("1") == 1.0
 

@@ -205,7 +205,7 @@ def test_linearity_of_branch_remainders():
     outs = {}
     for sub, key in ((sub0, 0), (sub1, 1)):
         for outcomes, _, receiver in enumerate_protocol_branches(sub):
-            corrected = reorder(table2.entry(outcomes).apply(receiver), ("b1", "b2"))
+            corrected = reorder(table2.entries[encode(outcomes)].apply(receiver), ("b1", "b2"))
             outs.setdefault(outcomes, {})[key] = corrected.amps
     for kinds, blocks in outs.items():
         merged = np.zeros(8, dtype=complex)
@@ -281,8 +281,8 @@ def test_derive_width_five_matches_the_composed_rule():
 def test_derived_table_for_alternate_resource():
     table = derive_corrections(2, BellState.PHI_PLUS)
     # phi+ resource flips the rule: the all-phi+ outcome needs no correction.
-    assert table.entry((PHIP, PHIP)) == PauliString()
-    assert table.entry((PSIM, PSIM)) == PauliString.from_pairs(
+    assert table.entries["1111"] == PauliString()
+    assert table.entries["0000"] == PauliString.from_pairs(
         [("b1", PauliFactor.ZX), ("b2", PauliFactor.ZX)]
     )
 
@@ -362,13 +362,16 @@ def test_derivation_ambiguity_names_the_branch(monkeypatch):
 
 def test_table_requires_full_coverage():
     with pytest.raises(ValueError, match="all 4 outcome sequences"):
-        CorrectionTable(1, PSIM, {(PSIM,): PauliString()})
+        CorrectionTable(1, PSIM, {"00": PauliString()})
+    # A table keyed by outcome tuples, not messages, fails loudly.
+    with pytest.raises(ValueError, match="all 4 outcome sequences, got 4"):
+        CorrectionTable(1, PSIM, {(k,): PauliString() for k in BellState})
 
 
 def test_table_enforces_operation_bound():
-    entries = {(k,): PauliString.from_pairs([("b1", PauliFactor.ZX), ("b2", PauliFactor.X)])
-               for k in BellState}
-    with pytest.raises(ValueError, match="bound"):
+    entries = {m: PauliString.from_pairs([("b1", PauliFactor.ZX), ("b2", PauliFactor.X)])
+               for m in ("00", "01", "10", "11")}
+    with pytest.raises(ValueError, match="entry 00 uses 3 single-qubit operations, bound is 2"):
         CorrectionTable(1, PSIM, entries)
 
 
@@ -401,7 +404,7 @@ def test_table_from_text_rejects_a_row_without_tokens():
 def test_validation_names_the_wrong_row():
     table = composed_table(2)
     entries = dict(table.entries)
-    entries[(PSIP, PHIM)] = PauliString.from_pairs([("b1", PauliFactor.Z)])
+    entries["0110"] = PauliString.from_pairs([("b1", PauliFactor.Z)])
     wrong = CorrectionTable(2, PSIM, entries)
     with pytest.raises(NoCorrectionError, match=r"branch 0110: fidelity 0\.6403"):
         teleport._validate_table(wrong)
@@ -419,8 +422,8 @@ def test_composed_table_shares_the_sessions_cached_corrections():
     for resource in BellState:
         for n in (1, 2, 3):
             table = composed_table(n, resource)
-            for seq, corr in table.entries.items():
-                assert corr is corrections_from_message(encode(seq), resource)
+            for m, corr in table.entries.items():
+                assert corr is corrections_from_message(m, resource)
 
 
 def test_one_correction_object_per_message_across_entry_points():
