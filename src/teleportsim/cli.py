@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -107,9 +108,6 @@ def chi_square_uniform(histogram: dict[str, int] | list[int]) -> tuple[float, fl
 
     Every bin must be present (zero counts included).
     """
-    # Imported on first use: scipy.special doubles start-up, and only p-values need it.
-    from scipy.special import chdtrc
-
     counts = np.asarray(
         [histogram[k] for k in sorted(histogram)] if isinstance(histogram, dict) else histogram,
         dtype=float,
@@ -122,8 +120,40 @@ def chi_square_uniform(histogram: dict[str, int] | list[int]) -> tuple[float, fl
         raise ValueError("histogram is empty")
     expected = total / bins
     statistic = float(((counts - expected) ** 2 / expected).sum())
-    p_value = float(chdtrc(bins - 1, statistic))
-    return statistic, p_value
+    return statistic, _chi_square_tail(bins - 1, statistic)
+
+
+def _chi_square_tail(df: int, statistic: float) -> float:
+    """P(chi-square with df degrees of freedom >= statistic), with `math` alone.
+
+    This is Q(a, y) with a = k + s = df / 2, k = df // 2 and y = statistic / 2
+    (Abramowitz & Stegun 26.4.4-26.4.5). With t_j = y^(j+s) e^-y / Gamma(j+s+1),
+    Q(a, y) = [erfc(sqrt(y)) for odd df] + sum_{j<k} t_j = 1 - sum_{j>=k} t_j.
+    t_k, the largest term of either sum, is computed once in log space, so
+    e^-y alone never underflows; the others follow by t_(j+1) = t_j y / (j+s+1).
+    Below the mean (y < a) Q is above about 1/2, and the terms j >= k are
+    summed and subtracted, as Cephes' igamc does, so that Q never rises with
+    the statistic; above it the terms j < k are summed.
+    """
+    if statistic == 0:
+        return 1.0
+    y = statistic / 2
+    s = df % 2 / 2
+    k = df // 2
+    t = math.exp((k + s) * math.log(y) - y - math.lgamma(k + s + 1))
+    if y < k + s:
+        terms, j = [t], k
+        # The terms fall from t_k; stop once one can no longer move the sum.
+        while t > terms[0] * 2.0 ** -60:
+            j += 1
+            t *= y / (j + s)
+            terms.append(t)
+        return 1 - math.fsum(terms)
+    terms = [math.erfc(math.sqrt(y))] if s else []
+    for j in range(k, 0, -1):
+        t *= (j + s) / y
+        terms.append(t)
+    return math.fsum(terms)
 
 
 def load_state(path: str | Path) -> StateVector:

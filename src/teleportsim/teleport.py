@@ -447,20 +447,37 @@ def derive_corrections(
     return table
 
 
+def _table_gathers(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry's PauliString.gather form on (b1..bn), one row per message
+    in canonical order, read from _mask_tables: perm = xor[x] and signs =
+    signs[z] * phase, with the entry's (x, z) masks b1 first."""
+    _, _, bs = protocol_labels(table.n)
+    xor, mask_signs = _mask_tables(table.n)
+    xmasks, zmasks, phases = [], [], []
+    for m in messages(table.n):
+        entry = table.entries[m]
+        x = z = 0
+        for f in entry._on(bs):
+            x, z = 2 * x + f.x, 2 * z + f.z
+        xmasks.append(x)
+        zmasks.append(z)
+        phases.append(entry.phase)
+    return xor[xmasks], mask_signs[zmasks] * np.array(phases)[:, None]
+
+
 def _validate_table(table: CorrectionTable) -> None:
     """Check the table on VALIDATION_STATES random inputs, every branch of
     walks over the table's own resource.
 
-    Each entry is its PauliString.gather form on (b1..bn), phase folded
-    into the signs, so a walk's receivers are corrected by one gather and
-    scored by one contraction with the input. Walks are scored one at a
-    time; the first failing branch in canonical order is named.
+    Each entry is its gather form on (b1..bn) (_table_gathers), so a walk's
+    receivers are corrected by one gather and scored by one contraction
+    with the input. Walks are scored one at a time; the first failing
+    branch in canonical order is named.
     """
     rng = np.random.default_rng(VALIDATION_SEED)
-    xs, _, bs = protocol_labels(table.n)
+    xs, _, _ = protocol_labels(table.n)
     codes = messages(table.n)
-    perms, signs = (np.concatenate(forms).reshape(len(codes), -1)
-                    for forms in zip(*[table.entries[m].gather(bs) for m in codes]))
+    perms, signs = _table_gathers(table)
     for _ in range(VALIDATION_STATES):
         xi = random_state(xs, rng)
         corrected = np.take_along_axis(_receiver_rows(xi, table.resource), perms, axis=1) * signs

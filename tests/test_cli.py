@@ -50,15 +50,40 @@ def test_chi_square_accepts_list_or_dict():
     assert a == b
 
 
-@pytest.mark.parametrize("dof", [3, 15, 63, 255, 1023])
+# cli computes the chi-square tail in closed form; scipy is the independent
+# reference. The tolerance was fixed before the code: the tail's one log-space
+# term carries an absolute exponent error of about (a ln a + y) eps, near 1e-12
+# at df = 1023, and 2^-36 (1.46e-11) leaves a margin of about ten.
+P_VALUE_RTOL = 2.0 ** -36
+DOFS = [1, 2, 3, 4, 15, 63, 255, 1023]
+
+
+@pytest.mark.parametrize("dof", DOFS)
 def test_chi_square_p_value_matches_scipy_stats(dof):
-    from scipy.stats import chi2
+    from scipy.special import chdtrc
 
     rng = np.random.default_rng(dof)
     for total in (dof // 4 + 1, 5 * (dof + 1), 200 * (dof + 1)):
         for _ in range(20):
             stat, p = chi_square_uniform(list(rng.multinomial(total, [1 / (dof + 1)] * (dof + 1))))
-            assert p == float(chi2.sf(stat, dof))
+            assert p == pytest.approx(float(chdtrc(dof, stat)), rel=P_VALUE_RTOL, abs=0)
+
+
+@pytest.mark.parametrize("dof", DOFS)
+def test_chi_square_tail_on_a_statistic_grid(dof):
+    # Exactly 1 at 0, never rising, and down into underflow at the larger df.
+    from scipy.special import chdtrc
+
+    grid = np.linspace(0, 8 * dof, 801)
+    tail = [cli._chi_square_tail(dof, float(x)) for x in grid]
+    assert tail[0] == 1.0
+    assert all(b <= a for a, b in zip(tail, tail[1:]))
+    for x, p in zip(grid, tail):
+        ref = float(chdtrc(dof, x))
+        if ref <= 1e-290:
+            assert p <= 1e-290, x
+        else:
+            assert p == pytest.approx(ref, rel=P_VALUE_RTOL, abs=0), x
 
 
 def test_chi_square_input_validation():
@@ -386,19 +411,19 @@ def test_main_reports_trials_too_many_to_allocate(capsys):
     assert err.startswith("error: Unable to allocate") and "Traceback" not in err
 
 
-# Runs in a fresh interpreter; prints whether scipy.special is loaded after each mode.
+# Runs in a fresh interpreter; prints whether any scipy module is loaded after each mode.
 SCIPY_PROBE = """
 import sys
 from teleportsim import cli
 
 for argv in (["--mode", "derive-table", "--n", "2"], ["--mode", "certify", "--n", "2"],
-             ["--mode", "sample", "--n", "1", "--trials", "20"]):
+             ["--mode", "sample", "--n", "1", "--trials", "20"], ["--mode", "branches", "--n", "1"]):
     code = cli.main(argv + ["--out", sys.argv[1]])
-    print(argv[1], code, "scipy.special" in sys.modules)
+    print(argv[1], code, "scipy" in sys.modules)
 """
 
 
-def test_scipy_special_is_loaded_only_for_a_p_value(tmp_path):
+def test_no_mode_loads_scipy(tmp_path):
     src = str(Path(cli.__file__).resolve().parents[1])
     run = subprocess.run(
         [sys.executable, "-c", SCIPY_PROBE, str(tmp_path / "report.json")],
@@ -408,5 +433,6 @@ def test_scipy_special_is_loaded_only_for_a_p_value(tmp_path):
     assert run.stdout.splitlines() == [
         "derive-table 0 False",
         "certify 0 False",
-        "sample 0 True",
+        "sample 0 False",
+        "branches 0 False",
     ]

@@ -16,23 +16,23 @@ from teleportsim.cli import CampaignConfig, run_campaign
 # (mode, n, input, trials, seed) -> sha256 of the report JSON.
 GOLDEN = {
     ("sample", 1, "random", 64, 11):
-        "32a1a5b2a590a92cb6285a4f71c7ca7280f295ec2854dc5fe6ea5ba1263903c0",
+        "2b24399459d70a1d3f3e5cd0ada3faee4eb07ef23f609468167b1de290bc118a",
     ("sample", 1, "zero", 64, 12):
-        "7c4e1105a1ac3217385635134390835e9ca0f96c919dfe2fe36264848af23bb2",
+        "aabe5ec5980493ef7cbd449dfe784dee13d580060c34c31918fa614f27553de2",
     ("sample", 2, "random", 64, 13):
         "9e05a17a1846aa6096b0ebda43e97130ec41da37269a0643ff32926306091364",
     ("sample", 2, "ghz", 64, 14):
-        "9725dc9797f7d0169c0392d0b5a8b61375e457dc5b54a3b3d1263544c9d2747c",
+        "c25dd0b86b095b2e7440f0464948cf48d46141c63a541580d2840765503aace1",
     ("sample", 3, "random", 48, 15):
-        "0c7a989b4f3134119989118ff8bfbcf31f676c56fdce6ebd746b625abdcf172f",
+        "efd03e90daab97022e180fc60a9e9114fd409b9acea6e4249493c743db50f26d",
     ("sample", 3, "uniform", 48, 16):
-        "db02fbdbd9858dc5ca3d00df89c9f5c26c89e2589ac1eaca5d1e8adb48286b1f",
+        "659d00010c02be716d4bc009b77b4658dd7ce0fcc72586896c2fcfda12e2ea89",
     ("sample", 4, "random", 32, 17):
-        "1c66001dd77dd93cbbc9a20e07e5cbd6ee8b50e23db5e45c2f0ea6613e708043",
+        "af3126dafa2ab0422e84ced11215b239a7aed8b578683d225833731ccea5b854",
     ("sample", 4, "ghz", 32, 18):
-        "df132fb355de8101b9abd388cec45a145338c1caf11c6411daac74f963748340",
+        "6d406ef47ab3473c2421ce2df5d8959d836b5aeee0447187ff3fa07a7e298a33",
     ("sample", 5, "random", 16, 19):
-        "24066f6d831df2f078c872a2a887c4db32209fd1beb8cdace742989f5a12a841",
+        "8fbde3f7234315dfc779e7eace59805c39c507a6176ceb58650d7b3fd1877583",
     ("branches", 1, "random", 1, 21):
         "7e94ffa301c34389a91685ce4d9302e461eff5af7da3c844a8da02132b35e980",
     ("branches", 1, "uniform", 1, 22):

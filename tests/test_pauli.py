@@ -136,8 +136,9 @@ def test_a_unit_phase_is_applied_exactly(phase):
 
 
 def test_stacked_gathers_equal_each_entry_applied():
-    # _validate_table's form: every entry's gather on (b1..bn), stacked and
-    # taken along one walk's receiver rows, bit for bit what apply gives.
+    # Every entry's gather on (b1..bn), stacked and taken along one walk's
+    # receiver rows, bit for bit what apply gives. _validate_table's rows
+    # equal these gathers (test_table_gathers_are_each_entrys_gather).
     table = reference_table(2)
     xs, _, bs = protocol_labels(2)
     xi = rand_state(np.random.default_rng(3), 2, prefix="x")

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import clear_caches, teleport
-from teleportsim.bell import BellState, encode, measure_bell_branches
+from teleportsim.bell import BellState, encode, measure_bell_branches, messages
 from teleportsim.harness import run_session
 from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import fidelity, make_state, reorder
@@ -253,7 +253,7 @@ def test_engine_never_consults_the_oracle(monkeypatch):
 
     for name in (
         "derive_corrections", "_solve_correction", "_receiver_rows", "_fiducial_states",
-        "_mask_tables", "_validate_table",
+        "_mask_tables", "_table_gathers", "_validate_table",
     ):
         monkeypatch.setattr(teleport, name, forbidden)
     clear_caches()
@@ -310,6 +310,26 @@ def test_mask_tables_apply_each_pauli_string_as_its_gather(n):
             )
             perm, sign = string.gather(bs)
             assert (signs[z] * a[xor[x]]).tobytes() == (a[perm] * sign).tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_table_gathers_are_each_entrys_gather(n):
+    # Read from the mask tables, each row is the entry's own gather form on
+    # (b1..bn): the same perm, and the same corrected bits with its phase.
+    _, _, bs = protocol_labels(n)
+    plain = composed_table(n)
+    phased = CorrectionTable(n, PSIM, {
+        m: PauliString(entry.factors, (1, -1, 1j, -1j)[i % 4])
+        for i, (m, entry) in enumerate(plain.entries.items())
+    })
+    a = rand_state(np.random.default_rng(n), n).amps
+    for table in (plain, phased):
+        perms, signs = teleport._table_gathers(table)
+        assert perms.shape == signs.shape == (4 ** n, 2 ** n)
+        for i, m in enumerate(messages(n)):
+            perm, sign = table.entries[m].gather(bs)
+            assert np.array_equal(perms[i], perm), m
+            assert (a[perms[i]] * signs[i]).tobytes() == (a[perm] * sign).tobytes(), m
 
 
 def test_solver_flags_ambiguity_on_poor_fiducials():
