@@ -5,8 +5,11 @@ each attached to one qubit, together with a phase of exactly +-1 or +-i.
 ZX means "apply X, then Z". Factors on distinct qubits commute, so a
 PauliString stores at most one factor per qubit.
 
-Every factor product is a signed permutation of the computational basis,
-as in a stabilizer tableau, so a string is applied by one index gather.
+On an ordered register a string is Z^z X^x for its (x, z) bit masks, as
+in a stabilizer tableau, and those masks are its only bridge to arrays:
+signed_permutation turns them into the signed permutation of the basis
+that applies the string by one index gather. The Z sign convention lives
+here, with the one function that reads it.
 """
 from __future__ import annotations
 
@@ -17,16 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .qstate import (
-    IDENTITY_GATE,
-    X_GATE,
-    Z_GATE,
-    ZX_GATE,
-    StateVector,
-    _state,
-    _targets_first,
-    _transpose,
-)
+from .qstate import StateVector, _state, _targets_first, _transpose
 
 
 class PauliFactor(Enum):
@@ -50,43 +44,33 @@ class PauliFactor(Enum):
         return _BY_BITS[x, z]
 
     @property
-    def matrix(self) -> np.ndarray:
-        return _GATES[self].matrix
-
-    @property
     def op_count(self) -> int:
         # One elementary single-qubit operation per set bit; I costs none.
         return self.x + self.z
 
 
-_GATES = {
-    PauliFactor.I: IDENTITY_GATE,
-    PauliFactor.X: X_GATE,
-    PauliFactor.Z: Z_GATE,
-    PauliFactor.ZX: ZX_GATE,
-}
 _BY_BITS = {(f.x, f.z): f for f in PauliFactor}
-# Each factor's sign per output basis index: Z's diagonal, or no sign.
-_Z_SIGNS, _NO_SIGNS = Z_GATE.matrix.diagonal().real, np.ones(2)
+# Sign convention: Z flips |0>, not |1>. This equals the textbook sigma_z
+# up to a global phase, which no fidelity can see, but printed output
+# signs depend on it. A factor's sign per basis bit: Z's diagonal, or none.
+_Z_SIGNS, _NO_SIGNS = np.array([-1.0, 1.0]), np.ones(2)
 _PHASE_TOKENS = {"+1": 1, "-1": -1, "+i": 1j, "-i": -1j, "1": 1, "i": 1j}
 # The exact phases a string may carry, and how tokens() writes them.
 _PHASE_NAMES = {1: "+1", -1: "-1", 1j: "+i", -1j: "-i"}
 
 
-def signed_permutation(factors: tuple[PauliFactor, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Index form of the product of `factors`, the first on the most
-    significant qubit: (P a)[i] == sign[i] * a[perm[i]].
+def signed_permutation(x: int, z: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index form of the width-n string Z^z X^x, bit n-1 of each mask on the
+    most significant qubit: (P a)[i] == sign[i] * a[perm[i]].
 
-    Read off the string's bits: the X bits flip index bits, so perm is
-    i XOR the X mask, and sign is the Kronecker product of Z's diagonal
-    over the qubits with a Z bit, so the Z sign convention keeps its single
-    home in qstate. Both arrays are fresh on every call.
+    The X mask flips index bits, so perm is i XOR x, and sign is the
+    Kronecker product of Z's diagonal (_Z_SIGNS) over the qubits whose Z
+    bit is set. Both arrays are fresh on every call.
     """
-    xmask, sign = 0, np.ones(1)
-    for f in factors:
-        xmask = 2 * xmask + f.x
-        sign = np.multiply.outer(sign, _Z_SIGNS if f.z else _NO_SIGNS).reshape(-1)
-    return np.arange(sign.size) ^ xmask, sign
+    sign = np.ones(1)
+    for k in range(n - 1, -1, -1):
+        sign = np.multiply.outer(sign, _Z_SIGNS if z >> k & 1 else _NO_SIGNS).reshape(-1)
+    return np.arange(2 ** n) ^ x, sign
 
 
 @dataclass(frozen=True)
@@ -117,6 +101,13 @@ class PauliString:
         kept = tuple((q, f) for q, f in pairs if f is not PauliFactor.I)
         return cls(kept, complex(phase))
 
+    @classmethod
+    def from_masks(cls, order: Sequence[str], x: int, z: int, phase: complex = 1) -> "PauliString":
+        """The string Z^z X^x on `order`, the first qubit most significant: masks' inverse."""
+        bits = range(len(order) - 1, -1, -1)
+        pairs = ((q, PauliFactor.from_bits(x >> k & 1, z >> k & 1)) for q, k in zip(order, bits))
+        return cls.from_pairs(pairs, phase)
+
     @functools.cached_property
     def op_count(self) -> int:
         # Cached: a message's correction is built once and shared by sessions.
@@ -126,11 +117,15 @@ class PauliString:
     def qubits(self) -> tuple[str, ...]:
         return tuple(q for q, _ in self.factors)
 
-    def _on(self, order: tuple[str, ...]) -> tuple[PauliFactor, ...]:
-        """The factor on each qubit of `order`; one outside it raises, not vanishes."""
-        _targets_first(order, self.qubits)
+    def masks(self, order: Sequence[str]) -> tuple[int, int]:
+        """The string's (x, z) masks on `order`, the first qubit most
+        significant; a factor outside `order` raises, not vanishes."""
+        _targets_first(tuple(order), self.qubits)
         by_qubit = dict(self.factors)
-        return tuple(by_qubit.get(q, PauliFactor.I) for q in order)
+        x = z = 0
+        for f in (by_qubit.get(q, PauliFactor.I) for q in order):
+            x, z = 2 * x + f.x, 2 * z + f.z
+        return x, z
 
     def gather(
         self, order: Sequence[str], to: Sequence[str] | None = None
@@ -142,7 +137,7 @@ class PauliString:
         to = order if to is None else tuple(to)
         form = self._gathers.get((order, to))
         if form is None:
-            perm, signs = signed_permutation(self._on(to))
+            perm, signs = signed_permutation(*self.masks(to), len(to))
             if to != order:
                 shape, axes = _transpose(order, to)
                 perm = np.arange(perm.size).reshape(shape).transpose(axes).reshape(-1)[perm]
@@ -158,13 +153,6 @@ class PauliString:
         order = state.qubits if order is None else tuple(order)
         perm, signs = self.gather(state.qubits, order)
         return _state(order, state.amps[perm] * signs)
-
-    def matrix(self, qubit_order: Sequence[str]) -> np.ndarray:
-        """Full operator on the given qubit ordering (first qubit = MSB)."""
-        out = np.array([[self.phase]], dtype=complex)
-        for f in self._on(tuple(qubit_order)):
-            out = np.kron(out, f.matrix)
-        return out
 
     def tokens(self) -> str:
         parts = [f"{f.value}@{q}" for q, f in self.factors] or ["I"]

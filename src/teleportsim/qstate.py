@@ -49,16 +49,6 @@ class SingleQubitGate:
         return cls(name, m)
 
 
-IDENTITY_GATE = SingleQubitGate.custom("I", [[1, 0], [0, 1]])
-X_GATE = SingleQubitGate.custom("X", [[0, 1], [1, 0]])
-# Sign convention: Z flips |0>, not |1>. This equals the textbook sigma_z
-# up to a global phase, which no fidelity can see, but printed output
-# signs depend on it.
-Z_GATE = SingleQubitGate.custom("Z", [[-1, 0], [0, 1]])
-# "Apply X, then Z" composed into a single factor.
-ZX_GATE = SingleQubitGate.custom("ZX", Z_GATE.matrix @ X_GATE.matrix)
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class StateVector:
     """Normalized pure state over an ordered tuple of qubit labels."""
@@ -69,10 +59,6 @@ class StateVector:
     @property
     def n_qubits(self) -> int:
         return len(self.qubits)
-
-    def amplitude(self, bits: str) -> complex:
-        """Amplitude of the computational basis state written as a bit string."""
-        return complex(self.amps[_basis_index(bits, self.n_qubits)])
 
 
 def _as_index(value, what: str) -> int:
@@ -270,14 +256,6 @@ def project_qubits(
 # Line 1: qubit labels in register order, whitespace separated.
 # Then one "re,im" amplitude per line, basis index ascending.
 # Blank lines and lines starting with '#' are ignored.
-
-
-def format_state_literal(state: StateVector) -> str:
-    lines = [" ".join(state.qubits)]
-    for c in state.amps:
-        # Plain float repr round-trips exactly; numpy scalar repr does not parse.
-        lines.append(f"{float(c.real)!r},{float(c.imag)!r}")
-    return "\n".join(lines) + "\n"
 
 
 def parse_state_literal(text: str) -> StateVector:

@@ -42,7 +42,3 @@ TABLES: dict[int, str] = {
 1111 Z@b1 X@b2 Z@b2
 """,
 }
-
-# The expected sign of the single-pair corrected output relative to the
-# input, by message.
-SINGLE_QUBIT_OUTPUT_SIGNS: dict[str, int] = {"00": -1, "01": 1, "10": 1, "11": -1}

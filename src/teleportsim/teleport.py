@@ -365,20 +365,15 @@ def _fiducial_states(xs: tuple[str, ...]) -> list[StateVector]:
     return [make_state(xs, row) for row in rows]
 
 
-def _mask_factors(x: int, z: int, n: int) -> tuple[PauliFactor, ...]:
-    """The width-n string Z^z X^x as factors, the first on the most significant bit."""
-    return tuple(PauliFactor.from_bits(x >> k & 1, z >> k & 1) for k in range(n - 1, -1, -1))
-
-
 @functools.lru_cache(maxsize=MAX_PROTOCOL_WIDTH)
 def _mask_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Every width-n Pauli string by its masks, (Z^z X^x a)[i] ==
-    signs[z, i] * a[xor[x, i]]: xor[x, i] = i ^ x, and row z of signs is
-    signed_permutation's sign for the Z-only string with mask z, so the Z
-    sign convention keeps its one home. Both (2^n, 2^n) and read-only."""
+    signs[z, i] * a[xor[x, i]]: row x of xor is signed_permutation's perm
+    for the X-only string with mask x, and row z of signs its sign for the
+    Z-only string with mask z. Both (2^n, 2^n) and read-only."""
     d = 2 ** n
-    xor = np.arange(d)[:, None] ^ np.arange(d)
-    signs = np.stack([signed_permutation(_mask_factors(0, z, n))[1] for z in range(d)])
+    xor = np.stack([signed_permutation(x, 0, n)[0] for x in range(d)])
+    signs = np.stack([signed_permutation(0, z, n)[1] for z in range(d)])
     for table in (xor, signs):
         table.setflags(write=False)
     return xor, signs
@@ -388,8 +383,8 @@ def _solve_correction(
     targets: tuple[str, ...],
     inputs: np.ndarray,
     remainders: np.ndarray,
-) -> tuple[PauliFactor, ...]:
-    """Find the unique factor string mapping every remainder to its input.
+) -> PauliString:
+    """Find the unique factor string on `targets` mapping every remainder to its input.
 
     `inputs` and `remainders` are stacked amplitude rows, one per fiducial
     state, both in (b1..bn) bit order. All 4^n strings Z^z X^x are scored
@@ -403,7 +398,7 @@ def _solve_correction(
     d = len(signs)
     overlap = (inputs.conj()[:, None, :] * remainders[:, xor]).reshape(-1, d) @ signs.T
     fits = np.all(np.abs(overlap.reshape(-1, d, d)) ** 2 >= 1 - FIDELITY_TOL, axis=0)
-    hits = [_mask_factors(x, z, n) for x, z in np.argwhere(fits).tolist()]
+    hits = [PauliString.from_masks(targets, x, z) for x, z in np.argwhere(fits).tolist()]
     if not hits:
         raise NoCorrectionError(
             f"no factor string of width {n} restores the input within "
@@ -412,7 +407,7 @@ def _solve_correction(
     if len(hits) > 1:
         raise AmbiguousCorrectionError(
             f"{len(hits)} factor strings fit at width {n} within FIDELITY_TOL={FIDELITY_TOL} "
-            f"({hits}); fiducial set is incomplete"
+            f"({', '.join(h.tokens() for h in hits)}); fiducial set is incomplete"
         )
     return hits[0]
 
@@ -438,10 +433,9 @@ def derive_corrections(
     entries = {}
     for i, m in enumerate(messages(n)):
         try:
-            combo = _solve_correction(bs, inputs, remainders[:, i])
+            entries[m] = _solve_correction(bs, inputs, remainders[:, i])
         except (NoCorrectionError, AmbiguousCorrectionError) as e:
             raise type(e)(f"branch {m}: {e}") from None
-        entries[m] = PauliString.from_pairs(zip(bs, combo))
     table = CorrectionTable(n, resource, entries)
     _validate_table(table)
     return table
@@ -450,19 +444,13 @@ def derive_corrections(
 def _table_gathers(table: CorrectionTable) -> tuple[np.ndarray, np.ndarray]:
     """Every entry's PauliString.gather form on (b1..bn), one row per message
     in canonical order, read from _mask_tables: perm = xor[x] and signs =
-    signs[z] * phase, with the entry's (x, z) masks b1 first."""
+    signs[z] * phase, with the entry's (x, z) masks on (b1..bn), b1 first."""
     _, _, bs = protocol_labels(table.n)
     xor, mask_signs = _mask_tables(table.n)
-    xmasks, zmasks, phases = [], [], []
-    for m in messages(table.n):
-        entry = table.entries[m]
-        x = z = 0
-        for f in entry._on(bs):
-            x, z = 2 * x + f.x, 2 * z + f.z
-        xmasks.append(x)
-        zmasks.append(z)
-        phases.append(entry.phase)
-    return xor[xmasks], mask_signs[zmasks] * np.array(phases)[:, None]
+    entries = [table.entries[m] for m in messages(table.n)]
+    x, z = np.array([entry.masks(bs) for entry in entries]).T
+    phases = np.array([entry.phase for entry in entries])
+    return xor[x], mask_signs[z] * phases[:, None]
 
 
 def _validate_table(table: CorrectionTable) -> None:

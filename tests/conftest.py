@@ -7,9 +7,42 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from teleportsim.qstate import make_state
+from teleportsim.qstate import _basis_index, make_state
 
 TOL = 1e-12
+
+# The factors Z^z X^x as dense 2x2 matrices, by name: a reference built apart
+# from the package's index forms. Z flips |0>, not |1>: the package's sign
+# convention, which printed output signs depend on. ZX is "apply X, then Z".
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Z = np.array([[-1, 0], [0, 1]], dtype=complex)
+GATES = {"I": np.eye(2, dtype=complex), "X": _X, "Z": _Z, "ZX": _Z @ _X}
+
+
+def dense(p, order) -> np.ndarray:
+    """A PauliString's full operator on `order` (first qubit = MSB), the
+    Kronecker product of GATES; a factor outside `order` raises, not vanishes."""
+    by_qubit = {q: f.value for q, f in p.factors}
+    if not set(by_qubit) <= set(order):
+        raise ValueError(f"{p.tokens()} has a factor outside {order}")
+    out = np.array([[p.phase]], dtype=complex)
+    for q in order:
+        out = np.kron(out, GATES[by_qubit.get(q, "I")])
+    return out
+
+
+def amplitude(state, bits: str) -> complex:
+    """The state's amplitude on the basis state written as a bit string."""
+    return complex(state.amps[_basis_index(bits, state.n_qubits)])
+
+
+def format_literal(state) -> str:
+    """The state literal parse_state_literal reads: labels, then one "re,im" row per amplitude."""
+    lines = [" ".join(state.qubits)]
+    for c in state.amps:
+        # Plain float repr round-trips exactly; numpy scalar repr does not parse.
+        lines.append(f"{float(c.real)!r},{float(c.imag)!r}")
+    return "\n".join(lines) + "\n"
 
 
 def labels(n: int, prefix: str = "q") -> tuple[str, ...]:

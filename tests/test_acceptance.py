@@ -29,7 +29,6 @@ from teleportsim import (
     teleport_branches,
 )
 from teleportsim.bell import encode, messages
-from teleportsim.reference import SINGLE_QUBIT_OUTPUT_SIGNS
 from teleportsim.teleport import (
     VERDICT_MATCH,
     VERDICT_OPERATOR,
@@ -39,6 +38,9 @@ from teleportsim.teleport import (
 )
 
 TOL = 1e-12
+# The expected sign of the single-pair corrected output relative to the
+# input, by message.
+SINGLE_QUBIT_OUTPUT_SIGNS = {"00": -1, "01": 1, "10": 1, "11": -1}
 
 
 def _verdict(num: int, ok: bool, detail: str) -> None:

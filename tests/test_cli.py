@@ -23,10 +23,10 @@ from teleportsim.cli import (
     resolve_input,
 )
 from teleportsim.bell import BellState
-from teleportsim.qstate import FIDELITY_TOL, StateFormatError, format_state_literal
+from teleportsim.qstate import FIDELITY_TOL, StateFormatError
 from teleportsim.teleport import composed_table, derive_corrections
 
-from conftest import TOL, rand_state
+from conftest import TOL, amplitude, format_literal, rand_state
 
 
 # --- chi-square -------------------------------------------------------------
@@ -133,13 +133,13 @@ def test_config_stores_plain_ints():
 
 def test_fixture_states():
     zero = fixture_state("zero", 2)
-    assert zero.amplitude("00") == 1
+    assert amplitude(zero, "00") == 1
     uniform = fixture_state("uniform", 2)
     assert np.allclose(uniform.amps, 0.5)
     ghz = fixture_state("ghz", 3)
-    assert ghz.amplitude("000") == pytest.approx(1 / np.sqrt(2))
-    assert ghz.amplitude("111") == pytest.approx(1 / np.sqrt(2))
-    assert ghz.amplitude("010") == 0
+    assert amplitude(ghz, "000") == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(ghz, "111") == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(ghz, "010") == 0
     with pytest.raises(ValueError, match="unknown fixture"):
         fixture_state("bell", 2)
 
@@ -147,7 +147,7 @@ def test_fixture_states():
 def test_load_state_round_trip(tmp_path):
     xi = rand_state(np.random.default_rng(5), 2, prefix="x")
     path = tmp_path / "state.txt"
-    path.write_text(format_state_literal(xi))
+    path.write_text(format_literal(xi))
     back = load_state(path)
     assert back.qubits == xi.qubits
     assert np.allclose(back.amps, xi.amps, atol=TOL)
@@ -163,7 +163,7 @@ def test_load_state_rejects_malformed_file(tmp_path):
 def test_resolve_input_checks_width(tmp_path):
     xi = rand_state(np.random.default_rng(6), 3, prefix="x")
     path = tmp_path / "three.txt"
-    path.write_text(format_state_literal(xi))
+    path.write_text(format_literal(xi))
     cfg = CampaignConfig(n=2, input=str(path))
     with pytest.raises(ValueError, match="campaign width"):
         resolve_input(cfg, np.random.default_rng(0))

@@ -9,8 +9,8 @@ The references below are the earlier engine kept as test-local copies:
 dispatcher, four projections per Bell
 measurement on the unreordered register, validation by
 `PauliString.apply` and `fidelity` one branch at a time, the solver
-gathering all 4^n candidates' signed permutations, each built by
-`signed_permutation` from its factor tuple, and scoring them on every
+gathering all 4^n candidates' signed permutations, each read off the
+candidate's dense matrix (`conftest.dense`), and scoring them on every
 fiducial row, the walk building
 its 3n-qubit register on every call, the session composing its
 correction on every call, and reorder finding its transpose axes afresh
@@ -37,7 +37,7 @@ from teleportsim.bell import (
     messages,
 )
 from teleportsim.cli import FIXTURE_NAMES, CampaignConfig, fixture_state, run_campaign
-from teleportsim.pauli import PauliFactor, PauliString, signed_permutation
+from teleportsim.pauli import PauliFactor, PauliString
 from teleportsim.qstate import (
     FIDELITY_TOL,
     IMPOSSIBLE_PROB,
@@ -66,7 +66,7 @@ from teleportsim.teleport import (
     teleport_branches,
 )
 
-from conftest import rand_state
+from conftest import dense, rand_state
 
 
 def same_bits(x, y) -> bool:
@@ -396,12 +396,12 @@ def test_one_string_keeps_a_gather_form_per_order():
         perm, signs = p.gather(order, to)
         assert not perm.flags.writeable and not signs.flags.writeable
         # out[i] == signs[i] * a[perm[i]]: row i of the dense form holds signs[i] at perm[i].
-        dense = np.zeros((4, 4), dtype=complex)
-        dense[np.arange(4), perm] = signs
+        form = np.zeros((4, 4), dtype=complex)
+        form[np.arange(4), perm] = signs
         transpose = np.stack(
             [reorder(computational_basis_state(order, k), to).amps for k in range(4)], axis=1
         )
-        assert np.array_equal(dense, p.matrix(to) @ transpose)
+        assert np.array_equal(form, dense(p, to) @ transpose)
         first = kept.setdefault((order, to), (perm, signs))
         assert first[0] is perm and first[1] is signs
     # Without a target, the form is the one onto the source order itself.
@@ -453,7 +453,7 @@ def test_invalid_orders_raise_on_every_call():
             measure_bell_branches(s, ("q2", "a1"))
         with pytest.raises(ValueError, match="unknown qubit 'a1'"):
             project_qubits(s, ("q2", "a1"), np.full(4, 0.5))
-        for build in (p.gather, p.matrix, lambda order: p.apply(s)):
+        for build in (p.gather, p.masks, lambda order: p.apply(s)):
             with pytest.raises(ValueError, match="unknown qubit 'a1'"):
                 build(s.qubits)
     assert reorder(s, ("q3", "q1", "q2")).qubits == ("q3", "q1", "q2")
@@ -578,17 +578,21 @@ def test_batched_validation_names_the_same_branch(n, resource, phase_only):
 
 
 @functools.lru_cache(maxsize=None)
-def candidate_stack(n: int):
-    """Every width-n factor tuple in product order, and their signed
-    permutations stacked as perms and signs, (4^n, 2^n)."""
-    candidates = tuple(itertools.product(PauliFactor, repeat=n))
-    perms, signs = map(np.stack, zip(*map(signed_permutation, candidates)))
+def candidate_stack(targets: tuple[str, ...]):
+    """Every string on `targets` in product order of its factors, and their
+    signed permutations read off their dense matrices, (4^n, 2^n) each: row
+    i of a matrix holds its one nonzero entry, the sign, at column perm[i]."""
+    candidates = [PauliString.from_pairs(zip(targets, combo))
+                  for combo in itertools.product(PauliFactor, repeat=len(targets))]
+    ops = np.stack([dense(p, targets) for p in candidates])
+    perms = np.argmax(ops != 0, axis=2)
+    signs = np.take_along_axis(ops, perms[..., None], axis=2)[..., 0].real
     return candidates, perms, signs
 
 
 def reference_solve(targets, inputs, remainders):
     """Every candidate's signed permutation scored on every fiducial row."""
-    candidates, perms, signs = candidate_stack(len(targets))
+    candidates, perms, signs = candidate_stack(targets)
     applied = remainders[:, perms] * signs                    # (F, 4^n, dim)
     fid = np.abs(np.einsum("fi,fci->cf", inputs.conj(), applied)) ** 2
     hits = np.flatnonzero(np.all(fid >= 1 - FIDELITY_TOL, axis=1))
@@ -600,7 +604,7 @@ def reference_solve(targets, inputs, remainders):
 
 
 def solve_result(solve, targets, inputs, remainders):
-    """The factor tuple, or the class of the solver error raised."""
+    """The PauliString, or the class of the solver error raised."""
     try:
         return solve(targets, inputs, remainders)
     except (NoCorrectionError, AmbiguousCorrectionError) as e:
@@ -624,7 +628,7 @@ def hadamard(n: int) -> np.ndarray:
 
 def vary(variant: str, n: int, inputs, remainders):
     """The fiducial data of a variant, and what every branch must then give:
-    a factor tuple or the class of the solver error."""
+    a PauliString or the class of the solver error."""
     if variant == "hadamard":
         return NoCorrectionError, inputs, remainders @ hadamard(n).T
     if variant == "basis-only":
@@ -632,8 +636,8 @@ def vary(variant: str, n: int, inputs, remainders):
         return AmbiguousCorrectionError, inputs[: 2 ** n], remainders[: 2 ** n]
     if variant == "reversed":
         # |+i>^n comes first instead of |0...0>.
-        return tuple, inputs[::-1], remainders[::-1]
-    return tuple, inputs, remainders
+        return PauliString, inputs[::-1], remainders[::-1]
+    return PauliString, inputs, remainders
 
 
 @pytest.mark.parametrize("variant", ["real", "hadamard", "basis-only", "reversed"])

@@ -250,8 +250,8 @@ def test_flipped_gather_sign_fails_the_campaign(warm, monkeypatch):
     # corrections_from_message, so the reset drops the forms with them.
     build = pauli.signed_permutation
 
-    def flipped(factors):
-        perm, sign = build(factors)
+    def flipped(*args):
+        perm, sign = build(*args)
         sign = sign.copy()
         sign[-1] = -sign[-1]
         return perm, sign

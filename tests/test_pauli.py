@@ -23,7 +23,7 @@ from teleportsim.teleport import (
     reference_table,
 )
 
-from conftest import TOL, labels, rand_state, state_vectors
+from conftest import GATES, TOL, amplitude, dense, labels, rand_state, state_vectors
 
 
 def test_op_counts():
@@ -36,10 +36,10 @@ def test_op_counts():
 def test_factor_bits_name_its_matrix():
     # Each factor is Z^z X^x for its own (x, z) bits.
     assert [(f.x, f.z) for f in PauliFactor] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    x, z = PauliFactor.X.matrix, PauliFactor.Z.matrix
+    x, z = GATES["X"], GATES["Z"]
     power = np.linalg.matrix_power
     for f in PauliFactor:
-        assert np.array_equal(power(z, f.z) @ power(x, f.x), f.matrix), f
+        assert np.array_equal(power(z, f.z) @ power(x, f.x), GATES[f.value]), f
         assert PauliFactor.from_bits(f.x, f.z) is f
 
 
@@ -63,7 +63,7 @@ def test_stored_identity_rejected():
 def test_apply_zx():
     zero = computational_basis_state(("q",), 0)
     p = PauliString.from_pairs([("q", PauliFactor.ZX)])
-    assert p.apply(zero).amplitude("1") == 1.0
+    assert amplitude(p.apply(zero), "1") == 1.0
 
 
 @pytest.mark.parametrize(
@@ -84,16 +84,28 @@ def test_a_phase_other_than_a_unit_is_rejected(build):
 def test_apply_phase_scales_amplitudes():
     zero = computational_basis_state(("q",), 0)
     p = PauliString(phase=-1)
-    assert p.apply(zero).amplitude("0") == -1.0
+    assert amplitude(p.apply(zero), "0") == -1.0
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_signed_permutation_is_the_dense_matrix(n):
+    # Every (x, z) pair, bit n-1-j of each mask on the j-th qubit of the order.
     order = labels(n)
-    for combo in itertools.product(PauliFactor, repeat=n):
-        perm, sign = signed_permutation(combo)
-        dense = PauliString.from_pairs(zip(order, combo)).matrix(order)
-        assert np.array_equal(np.eye(2 ** n)[perm] * sign[:, None], dense), combo
+    for x, z in itertools.product(range(2 ** n), repeat=2):
+        perm, sign = signed_permutation(x, z, n)
+        bits = [(x >> (n - 1 - j) & 1, z >> (n - 1 - j) & 1) for j in range(n)]
+        p = PauliString.from_pairs((q, PauliFactor.from_bits(*xz)) for q, xz in zip(order, bits))
+        assert np.array_equal(np.eye(2 ** n)[perm] * sign[:, None], dense(p, order)), (x, z)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
+def test_masks_round_trip_through_from_masks(n):
+    # Every string on the canonical order and on its reverse, with every phase.
+    for order in (labels(n), labels(n)[::-1]):
+        for combo, phase in itertools.product(itertools.product(PauliFactor, repeat=n),
+                                              (1, -1, 1j, -1j)):
+            p = PauliString.from_pairs(zip(order, combo), phase)
+            assert PauliString.from_masks(order, *p.masks(order), p.phase) == p, p.tokens()
 
 
 @given(
@@ -109,7 +121,7 @@ def test_apply_equals_dense_product(state, data, phase):
     p = PauliString.from_pairs(zip(order, factors), phase)
     out = p.apply(state)
     assert out.qubits == state.qubits
-    np.testing.assert_allclose(out.amps, p.matrix(state.qubits) @ state.amps, rtol=0, atol=TOL)
+    np.testing.assert_allclose(out.amps, dense(p, state.qubits) @ state.amps, rtol=0, atol=TOL)
 
 
 def test_apply_rejects_a_factor_outside_the_register():
@@ -152,18 +164,11 @@ def test_stacked_gathers_equal_each_entry_applied():
         assert np.array_equal(row.view(np.uint64), applied.view(np.uint64)), outcomes
 
 
-def test_matrix_respects_qubit_order():
-    p = PauliString.from_pairs([("b2", PauliFactor.X)])
-    m = p.matrix(("b1", "b2"))
-    expected = np.kron(np.eye(2), PauliFactor.X.matrix)
-    assert np.array_equal(m, expected)
-
-
-def test_matrix_rejects_a_factor_outside_the_order():
-    # The dense reference is as strict as gather: a factor on a qubit the
-    # order leaves out raises instead of vanishing from the operator.
+def test_gather_rejects_a_factor_outside_the_order():
+    # A factor on a qubit the order leaves out raises instead of vanishing
+    # from the string's masks, and so from its gather form.
     p = PauliString.from_pairs([("b1", PauliFactor.X), ("a1", PauliFactor.Z)])
-    for build in (p.matrix, p.gather):
+    for build in (p.masks, p.gather):
         with pytest.raises(ValueError, match="unknown qubit 'a1'"):
             build(("b1",))
 
@@ -198,7 +203,7 @@ def test_parse_composes_every_factor_pair_exactly(f, g):
     # Z^z X^x times Z^z' X^x' is (-1)^(x z') Z^(z ^ z') X^(x ^ x'), exactly.
     p = parse_pauli_tokens(f"{f.value}@q {g.value}@q")
     h = dict(p.factors).get("q", PauliFactor.I)
-    assert np.array_equal(p.phase * h.matrix, f.matrix @ g.matrix)
+    assert np.array_equal(p.phase * GATES[h.value], GATES[f.value] @ GATES[g.value])
 
 
 def test_parse_rejects_garbage():
